@@ -3,12 +3,17 @@
 //! The materialized path hands the replay loop a whole `&Trace`; the
 //! streaming path hands it a [`ChunkSource`] — anything that yields the
 //! trace's [`TraceChunk`]s in order. [`PrefetchedChunks`] wraps a source
-//! with a producer thread and a capacity-1 rendezvous channel, so at any
-//! moment at most two chunks are alive: the one the replay loop is
-//! consuming and the one the producer is generating behind it. That is the
+//! with a producer thread and a capacity-1 channel, so at any moment at
+//! most three chunks pass through it: the one the replay loop is
+//! consuming, the one in the channel, and the one the producer holds
+//! while it waits to hand it over. For a generator source that is the
 //! whole memory story of a streamed replay — RSS is bounded by
-//! `2 × chunk_ops × sizeof(MemOp)` plus the controller, for any trace
-//! length.
+//! `3 × chunk_ops × sizeof(MemOp)` plus the controller, for any trace
+//! length. A [`TraceStore`] cursor source adds its stream's shared
+//! window: `SHARED_WINDOW_CHUNKS` chunks plus the in-flight ones above
+//! that have already left it, with the window's buffers reused.
+//!
+//! [`TraceStore`]: crate::TraceStore
 
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -47,10 +52,14 @@ impl ChunkSource for std::vec::IntoIter<Arc<TraceChunk>> {
 /// Double-buffered prefetch over a [`ChunkSource`].
 ///
 /// A producer thread drains the source into a capacity-1
-/// [`sync_channel`]: while the consumer replays chunk *k*, the producer
-/// is already generating chunk *k + 1* and blocks handing it over until
-/// chunk *k* is done. Generation and replay overlap, and the number of
-/// resident chunks never exceeds two.
+/// [`sync_channel`]: while the consumer replays chunk *k*, chunk *k + 1*
+/// waits in the channel and the producer generates chunk *k + 2*, then
+/// blocks handing it over. Generation and replay overlap, and at most
+/// three chunks are in flight here. Resident chunk memory is those plus
+/// whatever the source retains: nothing for a [`ChunkedGenerator`], and
+/// for a store cursor the stream's shared window of
+/// [`SHARED_WINDOW_CHUNKS`](crate::SHARED_WINDOW_CHUNKS) chunks, whose
+/// buffers are reused once they leave it.
 ///
 /// Dropping the prefetcher mid-stream shuts the producer down cleanly:
 /// the receiver closes, the producer's blocked send fails, and the

@@ -157,6 +157,23 @@ fn parallel_sweep_reports_the_same_span_set_as_serial() {
     );
 }
 
+/// Trace generation runs on the workers, inside the store, so it must
+/// show in the merged span profile that `[worker spans]` prints.
+#[test]
+fn parallel_sweep_spans_include_trace_generation() {
+    let outcome = run_sweep(&small_plan(), &sweep_options(2));
+    assert!(outcome.failures.is_empty());
+    let generate = outcome
+        .spans
+        .iter()
+        .find(|s| s.name == "generate")
+        .expect("a `generate` span row");
+    assert_eq!(
+        generate.calls, 2,
+        "each of the two traces is generated once"
+    );
+}
+
 /// Resume building block: an explicit slot set must run exactly those
 /// benchmarks, and a document assembled from hook-captured benchmark
 /// values via `document_with_benchmarks` must be byte-identical to the

@@ -27,6 +27,14 @@ pub const UNIX_PREFIX: &str = "unix:";
 /// connection grow the daemon's memory arbitrarily.
 pub const MAX_REQUEST_LINE: usize = 256 * 1024;
 
+/// How long the accept loop sleeps when no connection is pending.
+const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// How long the accept loop backs off after a failed accept. Failures
+/// such as EMFILE persist until a connection closes, so retrying at the
+/// poll rate would only spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(100);
+
 /// Daemon configuration.
 #[derive(Debug)]
 pub struct ServeConfig {
@@ -52,10 +60,35 @@ enum Listener {
     Unix(UnixListener, PathBuf),
 }
 
+impl Listener {
+    /// Accepts one pending connection and makes it blocking; `Ok(None)`
+    /// when none is pending.
+    fn accept(&self) -> std::io::Result<Option<Box<dyn Conn>>> {
+        let accepted = match self {
+            Listener::Tcp(listener) => listener
+                .accept()
+                .map(|(stream, _)| Box::new(stream) as Box<dyn Conn>),
+            #[cfg(unix)]
+            Listener::Unix(listener, _) => listener
+                .accept()
+                .map(|(stream, _)| Box::new(stream) as Box<dyn Conn>),
+        };
+        match accepted {
+            Ok(conn) => {
+                conn.set_nonblocking(false)?;
+                Ok(Some(conn))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
 /// Either stream type, unified for the connection handler.
 trait Conn: std::io::Read + Write + Send {
     fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>>;
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
 }
 
 impl Conn for TcpStream {
@@ -65,6 +98,10 @@ impl Conn for TcpStream {
 
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         TcpStream::set_read_timeout(self, timeout)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
     }
 }
 
@@ -76,6 +113,10 @@ impl Conn for UnixStream {
 
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         UnixStream::set_read_timeout(self, timeout)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        UnixStream::set_nonblocking(self, nonblocking)
     }
 }
 
@@ -150,10 +191,23 @@ impl Server {
     /// Runs the accept loop and the executor until a `shutdown`
     /// request arrives, then drains and returns.
     ///
+    /// A failed accept (ECONNABORTED, EMFILE, ...) drops that one
+    /// connection: it is counted in `serve.accept_errors`, logged as an
+    /// `accept-error` event, and the loop backs off and keeps serving.
+    ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O failures other than `WouldBlock`.
+    /// Currently never: accept failures are survived as above.
     pub fn run(self) -> std::io::Result<()> {
+        self.serve(Listener::accept)
+    }
+
+    /// The loop behind [`run`](Server::run), with the accept step passed
+    /// in so tests can make it fail.
+    fn serve(
+        self,
+        mut accept: impl FnMut(&Listener) -> std::io::Result<Option<Box<dyn Conn>>>,
+    ) -> std::io::Result<()> {
         timeline::set_track_name("serve accept loop");
         let state = Arc::clone(&self.state);
         let executor = {
@@ -164,53 +218,35 @@ impl Server {
             })
         };
         let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-        fn spawn_conn<S: Conn + 'static>(
-            connections: &mut Vec<thread::JoinHandle<()>>,
-            state: &Arc<ServerState>,
-            stream: S,
-        ) {
-            let state = Arc::clone(state);
-            state.count("serve.connections");
-            state.oplog.info(
-                "accept",
-                None,
-                vec![(
-                    "connections".to_owned(),
-                    Value::U64(state.counter_value("serve.connections")),
-                )],
-            );
-            // Reads time out so idle connections notice shutdown; a
-            // client parked between requests must not pin the server.
-            let _unused = stream.set_read_timeout(Some(Duration::from_millis(200)));
-            connections.push(thread::spawn(move || handle_connection(&state, stream)));
-        }
-        loop {
-            if state.is_shutting_down() {
-                break;
-            }
-            let accepted = match &self.listener {
-                Listener::Tcp(listener) => match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false)?;
-                        spawn_conn(&mut connections, &state, stream);
-                        true
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-                    Err(e) => return Err(e),
-                },
-                #[cfg(unix)]
-                Listener::Unix(listener, _) => match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false)?;
-                        spawn_conn(&mut connections, &state, stream);
-                        true
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-                    Err(e) => return Err(e),
-                },
-            };
-            if !accepted {
-                thread::sleep(Duration::from_millis(20));
+        while !state.is_shutting_down() {
+            match accept(&self.listener) {
+                Ok(Some(stream)) => {
+                    state.count("serve.connections");
+                    state.oplog.info(
+                        "accept",
+                        None,
+                        vec![(
+                            "connections".to_owned(),
+                            Value::U64(state.counter_value("serve.connections")),
+                        )],
+                    );
+                    // Reads time out so idle connections notice shutdown;
+                    // a client parked between requests must not pin the
+                    // server.
+                    let _unused = stream.set_read_timeout(Some(Duration::from_millis(200)));
+                    let state = Arc::clone(&state);
+                    connections.push(thread::spawn(move || handle_connection(&state, stream)));
+                }
+                Ok(None) => thread::sleep(ACCEPT_POLL),
+                Err(e) => {
+                    state.count("serve.accept_errors");
+                    state.oplog.warn(
+                        "accept-error",
+                        None,
+                        vec![("error".to_owned(), Value::Str(e.to_string()))],
+                    );
+                    thread::sleep(ACCEPT_ERROR_BACKOFF);
+                }
             }
             connections.retain(|handle| !handle.is_finished());
         }
@@ -236,7 +272,7 @@ fn write_line(out: &mut dyn Write, value: &Value) -> std::io::Result<()> {
 /// One client session: read request lines, answer each, keep the
 /// connection open across errors (protocol hygiene: a bad line gets a
 /// structured error, never a dropped connection).
-fn handle_connection<S: Conn>(state: &Arc<ServerState>, mut stream: S) {
+fn handle_connection(state: &Arc<ServerState>, mut stream: Box<dyn Conn>) {
     let Ok(read_half) = stream.try_clone_reader() else {
         return;
     };
@@ -471,5 +507,79 @@ fn stream_watch(
             return Ok(());
         }
         job.wait_for_events(last_seq, Duration::from_millis(200));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::sync::Mutex;
+
+    use super::*;
+    use crate::Client;
+
+    /// A `Write` handle into a shared buffer, so the test can read back
+    /// what the oplog emitted.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("log buffer").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failed_accepts_are_counted_and_the_daemon_keeps_serving() {
+        let log = SharedBuf::default();
+        let server = Server::bind(ServeConfig {
+            listen: "127.0.0.1:0".to_owned(),
+            checkpoint_dir: None,
+            exec: ExecOptions {
+                workers: 1,
+                retries: 0,
+            },
+            store: Arc::new(TraceStore::in_memory()),
+            oplog: Arc::new(OpLog::to_writer(
+                Box::new(log.clone()),
+                cache8t_obs::LogLevel::Info,
+            )),
+            stream_chunk_ops: None,
+        })
+        .expect("bind");
+        let addr = server.local_addr().to_owned();
+        let state = server.state();
+        // ECONNABORTED, then EMFILE (24 on Linux and the BSDs), before
+        // the real listener is reached.
+        let mut faults = VecDeque::from([
+            std::io::Error::from(std::io::ErrorKind::ConnectionAborted),
+            std::io::Error::from_raw_os_error(24),
+        ]);
+        let daemon = thread::spawn(move || {
+            server.serve(move |listener| match faults.pop_front() {
+                Some(fault) => Err(fault),
+                None => listener.accept(),
+            })
+        });
+
+        let mut client =
+            Client::connect_with_retry(&addr, Duration::from_secs(10)).expect("daemon is up");
+        let health = client.health().expect("health answers");
+        assert_eq!(health.get("ok"), Some(&Value::Bool(true)), "{health:?}");
+        assert_eq!(state.counter_value("serve.accept_errors"), 2);
+        client.shutdown().expect("shutdown");
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("run returns Ok");
+
+        let text = String::from_utf8(log.0.lock().expect("log buffer").clone()).expect("utf-8");
+        let failures = text.lines().filter(|l| l.contains("accept-error")).count();
+        assert_eq!(failures, 2, "{text}");
     }
 }

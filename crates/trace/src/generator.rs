@@ -77,8 +77,11 @@ pub struct ProfiledGenerator {
     /// Shadow of architectural memory at word granularity (sparse; absent
     /// words hold 0).
     shadow: FastMap<u64, u64>,
-    /// Recently touched blocks per set, most recent first.
-    hot: FastMap<u64, Vec<u64>>,
+    /// Recently touched blocks per set, most recent first: the first
+    /// `hot_len[set]` entries of `hot[set]` are live. One row per set a
+    /// block id can reach, `min(num_sets, working_set_blocks)`.
+    hot: Vec<[u64; HOT_BLOCKS_PER_SET]>,
+    hot_len: Vec<u8>,
     prev_kind: AccessKind,
     prev_set: u64,
     prev_block: u64,
@@ -89,6 +92,8 @@ pub struct ProfiledGenerator {
     /// silence chain).
     last_write_silent: bool,
     instructions: u64,
+    /// Average instructions per memory op, `1 / mem_per_instr`.
+    instr_per_op: f64,
     /// Accumulates the fractional part of the non-memory instruction gap.
     instr_carry: f64,
     fresh_counter: u64,
@@ -116,14 +121,17 @@ impl ProfiledGenerator {
         } else {
             AccessKind::Write
         };
-        // Size the bookkeeping maps from the profile footprint so steady
-        // state is reached without rehashing: the shadow image holds at
-        // most one entry per working-set word (capped — huge working sets
-        // are touched sparsely) and the hot lists one entry per cache set.
+        // Size the shadow image from the profile footprint so steady
+        // state is reached without rehashing: it holds at most one entry
+        // per working-set word (capped — huge working sets are touched
+        // sparsely).
         let footprint_words = (profile.working_set_blocks as usize)
             .saturating_mul(geometry.block_words())
             .min(1 << 20);
-        let hot_sets = (geometry.num_sets() as usize).min(1 << 16);
+        // A block id is below `working_set_blocks` and its set index is
+        // its low bits, so no set at or past this bound is ever touched.
+        let hot_sets = geometry.num_sets().min(profile.working_set_blocks) as usize;
+        let instr_per_op = 1.0 / profile.mem_per_instr;
         ProfiledGenerator {
             profile,
             geometry,
@@ -131,13 +139,15 @@ impl ProfiledGenerator {
             zipf,
             rng,
             shadow: FastMap::with_capacity_and_hasher(footprint_words, Default::default()),
-            hot: FastMap::with_capacity_and_hasher(hot_sets, Default::default()),
+            hot: vec![[0; HOT_BLOCKS_PER_SET]; hot_sets],
+            hot_len: vec![0; hot_sets],
             prev_kind,
             prev_set,
             prev_block,
             last_write_block: None,
             last_write_silent: false,
             instructions: 0,
+            instr_per_op,
             instr_carry: 0.0,
             fresh_counter: 0,
         }
@@ -171,27 +181,34 @@ impl ProfiledGenerator {
         self.geometry.set_index_of(self.block_base(block))
     }
 
+    /// Moves `block` to the front of its set's hot list, dropping the
+    /// oldest entry when a new block joins a full list.
     fn touch_hot(&mut self, set: u64, block: u64) {
-        let list = self.hot.entry(set).or_default();
-        if let Some(pos) = list.iter().position(|&b| b == block) {
-            list.remove(pos);
-        }
-        list.insert(0, block);
-        list.truncate(HOT_BLOCKS_PER_SET);
+        let row = &mut self.hot[set as usize];
+        let len = &mut self.hot_len[set as usize];
+        let live = usize::from(*len);
+        // Entries ahead of `end` shift back one slot, over `block`'s old
+        // slot, the first free one, or the oldest entry.
+        let end = match row[..live].iter().position(|&b| b == block) {
+            Some(pos) => pos,
+            None if live < HOT_BLOCKS_PER_SET => {
+                *len += 1;
+                live
+            }
+            None => HOT_BLOCKS_PER_SET - 1,
+        };
+        row.copy_within(..end, 1);
+        row[0] = block;
     }
 
     /// Picks a block for a same-set revisit: usually the previous block,
     /// otherwise one of the set's recently touched blocks.
     fn same_set_block(&mut self) -> u64 {
-        // Borrow the hot list in place: this runs on every same-set
-        // transition, so cloning it would allocate per generated op. The
-        // RNG draw order is identical to the cloning version (an absent or
-        // single-entry list draws nothing).
-        if let Some(list) = self.hot.get(&self.prev_set) {
-            if list.len() > 1 && self.rng.gen::<f64>() < 0.3 {
-                let idx = self.rng.gen_range(0..list.len());
-                return list[idx];
-            }
+        // An empty or single-entry list draws nothing.
+        let set = self.prev_set as usize;
+        let live = usize::from(self.hot_len[set]);
+        if live > 1 && self.rng.gen::<f64>() < 0.3 {
+            return self.hot[set][self.rng.gen_range(0..live)];
         }
         self.prev_block
     }
@@ -246,8 +263,7 @@ impl ProfiledGenerator {
         // Each memory op represents 1 / mem_per_instr instructions on
         // average; carry the fractional part so the long-run density is
         // exact.
-        let per_op = 1.0 / self.profile.mem_per_instr;
-        let total = per_op + self.instr_carry;
+        let total = self.instr_per_op + self.instr_carry;
         let whole = total.floor();
         self.instr_carry = total - whole;
         self.instructions += whole as u64;
@@ -299,18 +315,16 @@ impl TraceGenerator for ProfiledGenerator {
             AccessKind::Write => {
                 let silent = self.rng.gen::<f64>() < self.silent_probability();
                 self.last_write_silent = silent;
-                let value = if silent {
-                    self.shadow.get(&addr.raw()).copied().unwrap_or(0)
-                } else {
+                let stored = self.shadow.entry(addr.raw()).or_insert(0);
+                if !silent {
                     // A monotone counter starting at 1 never collides with
                     // the zero-initialized memory image, and the shadow
-                    // update below keeps collisions with *stored* values
+                    // update keeps collisions with *stored* values
                     // impossible (values are unique per write).
                     self.fresh_counter += 1;
-                    self.fresh_counter
-                };
-                self.shadow.insert(addr.raw(), value);
-                MemOp::write(addr, value)
+                    *stored = self.fresh_counter;
+                }
+                MemOp::write(addr, *stored)
             }
         };
 

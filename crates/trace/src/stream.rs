@@ -84,12 +84,18 @@ impl TraceChunk {
 /// hold exactly `chunk_ops` ops. Concatenating the chunks reproduces
 /// `generator.collect(total_ops)` byte-for-byte, and their instruction
 /// counts sum to the same total (see the module docs).
+///
+/// A consumer done with a chunk can hand it back with
+/// [`recycle`](ChunkedGenerator::recycle); the next chunk is then
+/// produced into its buffer instead of a fresh allocation.
 #[derive(Debug)]
 pub struct ChunkedGenerator<G> {
     generator: G,
     chunk_ops: usize,
     total_ops: u64,
     produced: u64,
+    /// An emptied buffer from a recycled chunk, for the next chunk.
+    spare: Option<Vec<MemOp>>,
 }
 
 impl<G: TraceGenerator> ChunkedGenerator<G> {
@@ -106,6 +112,7 @@ impl<G: TraceGenerator> ChunkedGenerator<G> {
             chunk_ops,
             total_ops,
             produced: 0,
+            spare: None,
         }
     }
 
@@ -130,6 +137,7 @@ impl<G: TraceGenerator> ChunkedGenerator<G> {
             chunk_ops,
             total_ops,
             produced,
+            spare: None,
         }
     }
 
@@ -149,13 +157,23 @@ impl<G: TraceGenerator> ChunkedGenerator<G> {
         let n = (self.chunk_ops as u64).min(remaining) as usize;
         let start = self.produced;
         let instr_before = self.generator.instructions_retired();
-        let mut ops = Vec::with_capacity(n);
+        let mut ops = self.spare.take().unwrap_or_default();
+        ops.reserve_exact(n);
         for _ in 0..n {
             ops.push(self.generator.next_op());
         }
         let instructions = self.generator.instructions_retired() - instr_before;
         self.produced += n as u64;
         Some(TraceChunk::new(ops, start, instructions))
+    }
+
+    /// Hands back a chunk the caller no longer needs, so the next
+    /// [`next_chunk`](ChunkedGenerator::next_chunk) reuses its buffer.
+    /// At most one buffer is kept; the chunk's contents do not matter.
+    pub fn recycle(&mut self, chunk: TraceChunk) {
+        let mut ops = chunk.ops;
+        ops.clear();
+        self.spare = Some(ops);
     }
 
     /// Consumes the adapter, returning the inner generator (positioned
@@ -241,6 +259,23 @@ mod tests {
         let mut g = ChunkedGenerator::new(generator(1), 128, 0);
         assert!(g.next_chunk().is_none());
         assert_eq!(g.produced(), 0);
+    }
+
+    #[test]
+    fn recycled_buffers_are_reused_without_changing_chunks() {
+        let expected: Vec<TraceChunk> = ChunkedGenerator::new(generator(13), 500, 2_200).collect();
+        let mut chunked = ChunkedGenerator::new(generator(13), 500, 2_200);
+        let mut got = Vec::new();
+        while let Some(chunk) = chunked.next_chunk() {
+            got.push(chunk.clone());
+            let buffer = chunk.ops().as_ptr();
+            chunked.recycle(chunk);
+            if let Some(next) = chunked.next_chunk() {
+                assert_eq!(next.ops().as_ptr(), buffer, "the recycled buffer is reused");
+                got.push(next);
+            }
+        }
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -16,7 +16,9 @@ use rand::Rng;
 /// law and floors the result — an O(1), allocation-free approximation of a
 /// true Zipf distribution that is amply accurate for workload modelling
 /// (the calibration tests measure the resulting stream statistics rather
-/// than assuming them).
+/// than assuming them). The CDF's constants depend only on `n` and `s`, so
+/// [`ZipfSampler::new`] computes them once and a sample costs one uniform
+/// draw and one `exp`/`powf`.
 ///
 /// # Example
 ///
@@ -38,6 +40,19 @@ use rand::Rng;
 pub struct ZipfSampler {
     n: u64,
     s: f64,
+    cdf: InverseCdf,
+}
+
+/// The inverse CDF of the continuous law on `[1, n+1)` (`[0, n)` when
+/// uniform), with its per-sampler constants precomputed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum InverseCdf {
+    /// `s = 0`: `x = u * n`.
+    Uniform,
+    /// `s = 1`: the CDF is `ln(x) / ln(n+1)`, so `x = exp(ln(n+1) * u)`.
+    Log { ln_hi: f64 },
+    /// General `s`, with `p = 1 - s`: `x = (u * ((n+1)^p - 1) + 1)^(1/p)`.
+    Power { span: f64, inv_p: f64 },
 }
 
 impl ZipfSampler {
@@ -54,7 +69,19 @@ impl ZipfSampler {
             s.is_finite() && s >= 0.0,
             "exponent must be finite and nonnegative"
         );
-        ZipfSampler { n, s }
+        let hi = n as f64 + 1.0;
+        let cdf = if s == 0.0 {
+            InverseCdf::Uniform
+        } else if (s - 1.0).abs() < 1e-9 {
+            InverseCdf::Log { ln_hi: hi.ln() }
+        } else {
+            let p = 1.0 - s;
+            InverseCdf::Power {
+                span: hi.powf(p) - 1.0,
+                inv_p: 1.0 / p,
+            }
+        };
+        ZipfSampler { n, s, cdf }
     }
 
     /// Size of the rank universe.
@@ -75,23 +102,14 @@ impl ZipfSampler {
             return 0;
         }
         let u: f64 = rng.gen::<f64>();
-        let n = self.n as f64;
-        let x = if self.s == 0.0 {
-            // Uniform.
-            u * n
-        } else if (self.s - 1.0).abs() < 1e-9 {
-            // s = 1: CDF over [1, n+1) is ln(x)/ln(n+1).
-            ((n + 1.0).ln() * u).exp()
-        } else {
-            // General s: inverse CDF of the bounded continuous power law
-            // on [1, n+1).
-            let p = 1.0 - self.s;
-            let hi = (n + 1.0).powf(p);
-            (u * (hi - 1.0) + 1.0).powf(1.0 / p)
+        let (x, shift) = match self.cdf {
+            InverseCdf::Uniform => (u * self.n as f64, 0),
+            InverseCdf::Log { ln_hi } => ((ln_hi * u).exp(), 1),
+            InverseCdf::Power { span, inv_p } => ((u * span + 1.0).powf(inv_p), 1),
         };
         // Continuous support is [1, n+1); shift to 0-based ranks and clamp
         // against floating-point edge cases.
-        let rank = (x.floor() as u64).saturating_sub(if self.s == 0.0 { 0 } else { 1 });
+        let rank = (x.floor() as u64).saturating_sub(shift);
         rank.min(self.n - 1)
     }
 }
