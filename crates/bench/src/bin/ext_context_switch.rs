@@ -8,8 +8,9 @@
 //! the single-program suite average (~27 %/33 %) is the asymptote.
 
 use cache8t_bench::cli::CommonArgs;
+use cache8t_bench::experiment::replay_whole;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{Controller, CountingPolicy, RmwController, WgController, WgRbController};
+use cache8t_core::{CountingPolicy, RmwController, WgController, WgRbController};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, MultiprogramMix, ProfiledGenerator, TraceGenerator};
 
@@ -46,22 +47,12 @@ fn main() {
     for quantum in [10usize, 100, 1_000, 10_000, ops / 4] {
         let mut mix = build_mix(args.seed, quantum);
         let trace = mix.collect(ops);
-        let mut rmw = RmwController::new(geometry, ReplacementKind::Lru);
-        let mut wg = WgController::new(geometry, ReplacementKind::Lru);
-        let mut wgrb = WgRbController::new(geometry, ReplacementKind::Lru);
-        for op in &trace {
-            rmw.access(op);
-            wg.access(op);
-            wgrb.access(op);
-        }
-        wg.flush();
-        wgrb.flush();
-        let wg_red = wg
-            .traffic()
-            .reduction_vs(rmw.traffic(), CountingPolicy::DemandOnly);
-        let wgrb_red = wgrb
-            .traffic()
-            .reduction_vs(rmw.traffic(), CountingPolicy::DemandOnly);
+        let lru = ReplacementKind::Lru;
+        let rmw = replay_whole(&mut RmwController::new(geometry, lru), &trace).traffic;
+        let wg = replay_whole(&mut WgController::new(geometry, lru), &trace).traffic;
+        let wgrb = replay_whole(&mut WgRbController::new(geometry, lru), &trace).traffic;
+        let wg_red = wg.reduction_vs(&rmw, CountingPolicy::DemandOnly);
+        let wgrb_red = wgrb.reduction_vs(&rmw, CountingPolicy::DemandOnly);
         table.row(&[
             quantum.to_string(),
             mix.context_switches().to_string(),

@@ -19,8 +19,9 @@
 use std::sync::Arc;
 
 use cache8t_bench::cli::CommonArgs;
+use cache8t_bench::experiment::replay_whole;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{Controller, CountingPolicy, RmwController, WgController, WgRbController};
+use cache8t_core::{CountingPolicy, RmwController, WgController, WgRbController};
 use cache8t_exec::{run_jobs, ExecOptions, JobOutcome, TraceStore};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{PairLocality, Trace, WorkloadProfile};
@@ -50,21 +51,13 @@ fn base_profile() -> WorkloadProfile {
 /// Replays a shared trace at one geometry and returns (WG, WG+RB)
 /// reductions.
 fn point(trace: &Trace, geometry: CacheGeometry) -> (f64, f64) {
-    let mut rmw = RmwController::new(geometry, ReplacementKind::Lru);
-    let mut wg = WgController::new(geometry, ReplacementKind::Lru);
-    let mut wgrb = WgRbController::new(geometry, ReplacementKind::Lru);
-    for op in trace {
-        rmw.access(op);
-        wg.access(op);
-        wgrb.access(op);
-    }
-    wg.flush();
-    wgrb.flush();
+    let lru = ReplacementKind::Lru;
+    let rmw = replay_whole(&mut RmwController::new(geometry, lru), trace).traffic;
+    let wg = replay_whole(&mut WgController::new(geometry, lru), trace).traffic;
+    let wgrb = replay_whole(&mut WgRbController::new(geometry, lru), trace).traffic;
     (
-        wg.traffic()
-            .reduction_vs(rmw.traffic(), CountingPolicy::DemandOnly),
-        wgrb.traffic()
-            .reduction_vs(rmw.traffic(), CountingPolicy::DemandOnly),
+        wg.reduction_vs(&rmw, CountingPolicy::DemandOnly),
+        wgrb.reduction_vs(&rmw, CountingPolicy::DemandOnly),
     )
 }
 

@@ -9,12 +9,25 @@
 use std::io::Write;
 use std::path::Path;
 
+use cache8t_core::Controller;
+use cache8t_exec::Replay;
+use cache8t_trace::Trace;
+
 pub use cache8t_exec::experiment::{
-    average, generate_trace, measure_stream, run_benchmark, run_benchmark_on_trace, run_scheme,
+    average, generate_trace, measure_stream, run_benchmark, run_benchmark_on_trace,
     run_scheme_on_trace, run_suite, BenchmarkResult, RunConfig, SchemeKind, SchemeResult,
 };
 
 use crate::cli::CommonArgs;
+
+/// Replays all of `trace` through `controller` on the shared replay
+/// driver, with no warm-up reset — the extension studies' whole-trace
+/// measurement.
+pub fn replay_whole(controller: &mut dyn Controller, trace: &Trace) -> SchemeResult {
+    let mut replay = Replay::new(controller, trace.len(), None);
+    replay.feed(trace.ops());
+    replay.finish()
+}
 
 /// Builds the `--metrics-out` document: one entry per benchmark holding
 /// every scheme's metric-registry snapshot.

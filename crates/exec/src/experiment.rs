@@ -84,7 +84,7 @@ pub struct SchemeResult {
     #[serde(skip)]
     pub registry: MetricRegistry,
     /// Windowed telemetry samples recorded during the replay. Empty
-    /// unless the run was sampled (see [`run_scheme_sampled`]);
+    /// unless the run was sampled (see [`Replay::new`]);
     /// excluded from the serialized result (use `--series-out` for the
     /// JSONL), which keeps sweep documents byte-identical whether or
     /// not a series was requested.
@@ -185,7 +185,7 @@ impl SchemeKind {
     }
 }
 
-/// Ops per pre-decoded sub-batch on the batched replay paths.
+/// Ops per pre-decoded sub-batch in [`Replay::feed`].
 ///
 /// Large enough to amortize the decode pass and keep the per-batch loop
 /// overhead negligible; small enough that the decoded columns (~41 B/op)
@@ -193,7 +193,7 @@ impl SchemeKind {
 /// the chunk size, not the trace length.
 const REPLAY_BATCH_OPS: usize = 8192;
 
-/// Whether the replay loops use the pre-decoded batch fast path.
+/// Whether [`Replay`] uses the pre-decoded batch fast path.
 ///
 /// On by default; `CACHE8T_NO_BATCH=1` forces the per-op path. CI uses
 /// the switch to diff batched-vs-per-op sweep documents byte-for-byte.
@@ -202,239 +202,207 @@ fn batching_enabled() -> bool {
     *ENABLED.get_or_init(|| std::env::var("CACHE8T_NO_BATCH").map_or(true, |v| v != "1"))
 }
 
-/// Replays `ops` — whose global indices start at `base_index` — through
-/// `controller` in [`REPLAY_BATCH_OPS`]-sized pre-decoded sub-batches.
+/// The one replay driver: feeds an op stream through a controller with
+/// the standard warm-up protocol and, optionally, a continuous-telemetry
+/// [`Sampler`], then snapshots the outcome.
 ///
-/// The warm-up counter reset fires immediately before the op with global
-/// index `warmup`, exactly where the per-op loop's `i == warmup` check
-/// would fire it: a sub-batch containing the boundary is split there
-/// (possibly at its very first op), and a `warmup` at or past the end of
-/// the stream never resets. `batch` is caller-provided scratch so its
-/// column allocations survive across chunks.
-pub fn replay_ops_batched(
-    controller: &mut dyn Controller,
-    ops: &[MemOp],
-    base_index: u64,
+/// Call [`feed`](Replay::feed) with consecutive slices of the stream (a
+/// materialized trace once, a chunk source chunk by chunk) and then
+/// [`finish`](Replay::finish). Ops carry global indices across feeds,
+/// so the result does not depend on where the slices are cut.
+///
+/// Each [`REPLAY_BATCH_OPS`] sub-batch is decoded once and split at the
+/// warm-up seam and at every sampler window boundary; each piece runs
+/// through [`Controller::access_batch`], or through per-op
+/// [`Controller::access`] under `CACHE8T_NO_BATCH=1`. The counter reset
+/// fires immediately before the op with global index `warmup_ops` (never
+/// when the stream is shorter), and a window boundary at the same index
+/// is sampled first — exactly where a per-op loop would put both.
+///
+/// # Panics
+///
+/// [`feed`](Replay::feed) and [`finish`](Replay::finish) panic if the
+/// sampler's writer fails: series I/O errors are environment errors at
+/// this layer; callers wanting recoverable I/O should write the returned
+/// series themselves.
+pub struct Replay<'a> {
+    controller: &'a mut dyn Controller,
+    /// `None` when unsampled, or when the controller has no registry to
+    /// sample.
+    sampler: Option<&'a mut Sampler>,
+    /// `None` on the per-op reference path.
+    batch: Option<DecodedBatch>,
+    /// Global index of the next op to replay.
+    index: u64,
     warmup: u64,
-    batch: &mut DecodedBatch,
-) {
-    let mut index = base_index;
-    for sub in ops.chunks(REPLAY_BATCH_OPS) {
-        let end = index + sub.len() as u64;
-        batch.decode(sub);
-        if index <= warmup && warmup < end {
-            let split = (warmup - index) as usize;
-            controller.access_batch(batch, 0..split);
-            controller.reset_counters();
-            controller.access_batch(batch, split..sub.len());
-        } else {
-            controller.access_batch(batch, 0..sub.len());
-        }
-        index = end;
-    }
-}
-
-/// Replays `trace` through `controller` with the standard warm-up
-/// protocol and snapshots its statistics and telemetry.
-pub fn run_scheme(
-    controller: &mut dyn Controller,
-    trace: &Trace,
-    warmup_ops: usize,
-) -> SchemeResult {
     // The controller name is 'static, so it doubles as the span label:
     // the span report breaks replay time down per scheme.
-    let _span = SpanGuard::enter(controller.name());
-    if batching_enabled() {
-        let mut batch = DecodedBatch::new(controller.cache().geometry());
-        replay_ops_batched(controller, trace.ops(), 0, warmup_ops as u64, &mut batch);
-    } else {
-        for (i, op) in trace.iter().enumerate() {
-            if i == warmup_ops {
-                controller.reset_counters();
-            }
-            controller.access(op);
-        }
-    }
-    controller.flush();
-    finish_scheme(controller, Vec::new())
+    _span: SpanGuard,
 }
 
-/// [`run_scheme`] with a continuous-telemetry [`Sampler`] attached:
-/// every `sampler` cadence window diffs the controller's registry and
-/// probes its buffer occupancy. The sampler's retained ring lands in
-/// [`SchemeResult::series`]; an attached writer has already streamed
-/// every window as JSONL.
-///
-/// The unsampled [`run_scheme`] keeps its own tight loop, so replays
-/// without telemetry pay nothing for this feature.
-///
-/// # Panics
-///
-/// Panics if the sampler's writer fails — series I/O errors are
-/// programming/environment errors at this layer, callers wanting
-/// recoverable I/O should write the returned series themselves.
-pub fn run_scheme_sampled(
-    controller: &mut dyn Controller,
-    trace: &Trace,
-    warmup_ops: usize,
-    sampler: &mut Sampler,
-) -> SchemeResult {
-    let _span = SpanGuard::enter(controller.name());
-    if let Some(obs) = controller.obs() {
-        sampler.rebaseline(obs.registry());
-    }
-    for (i, op) in trace.iter().enumerate() {
-        if i == warmup_ops {
-            controller.reset_counters();
-            if let Some(obs) = controller.obs() {
-                sampler.rebaseline(obs.registry());
-            }
+impl<'a> Replay<'a> {
+    /// Starts a replay through `controller` whose counters reset before
+    /// the op with global index `warmup_ops`.
+    pub fn new(
+        controller: &'a mut dyn Controller,
+        warmup_ops: usize,
+        sampler: Option<&'a mut Sampler>,
+    ) -> Self {
+        let span = SpanGuard::enter(controller.name());
+        let mut sampler = sampler.filter(|_| controller.obs().is_some());
+        if let (Some(sampler), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
+            sampler.rebaseline(obs.registry());
         }
-        controller.access(op);
-        if sampler.note_op() {
-            if let Some(obs) = controller.obs() {
-                let occupancy = controller.occupancy().unwrap_or_default();
-                sampler
-                    .sample(obs.registry(), occupancy)
-                    .expect("series writer failed");
-            }
+        let batch = batching_enabled().then(|| DecodedBatch::new(controller.cache().geometry()));
+        Replay {
+            controller,
+            sampler,
+            batch,
+            index: 0,
+            warmup: warmup_ops as u64,
+            _span: span,
         }
     }
-    controller.flush();
-    if let Some(obs) = controller.obs() {
-        let occupancy = controller.occupancy().unwrap_or_default();
-        sampler
-            .finish(obs.registry(), occupancy)
-            .expect("series writer failed");
-    }
-    finish_scheme(controller, sampler.take_ring())
-}
 
-/// [`run_scheme`] over a [`ChunkSource`] instead of a materialized
-/// trace: chunks are consumed in place, so memory stays bounded by the
-/// chunk size regardless of trace length.
-///
-/// Bit-identical to the materialized runner: the chunk sequence carries
-/// the same ops in the same order, the warm-up counter reset fires
-/// before the op with global index `warmup_ops` exactly as the indexed
-/// loop would (including `warmup_ops == 0`, a reset on a chunk seam,
-/// and a warm-up longer than the stream, which never resets), and the
-/// end-of-stream `flush()` is unchanged.
-pub fn run_scheme_streamed<S: ChunkSource>(
-    controller: &mut dyn Controller,
-    mut chunks: S,
-    warmup_ops: usize,
-) -> SchemeResult {
-    let _span = SpanGuard::enter(controller.name());
-    let warmup = warmup_ops as u64;
-    let mut index = 0u64;
-    // The batch is allocated once and reused across chunks; `None` means
-    // the per-op fallback (`CACHE8T_NO_BATCH=1`).
-    let mut batch = batching_enabled().then(|| DecodedBatch::new(controller.cache().geometry()));
-    while let Some(chunk) = chunks.next_chunk() {
-        let ops = chunk.ops();
-        let end = index + ops.len() as u64;
-        if let Some(batch) = batch.as_mut() {
-            replay_ops_batched(controller, ops, index, warmup, batch);
-        } else if index <= warmup && warmup < end {
-            // The warm-up boundary lands inside this chunk (possibly at
-            // its very first op): replay up to it, reset, replay on.
-            let split = (warmup - index) as usize;
-            controller.access_slice(&ops[..split]);
-            controller.reset_counters();
-            controller.access_slice(&ops[split..]);
-        } else {
-            controller.access_slice(ops);
-        }
-        index = end;
-    }
-    controller.flush();
-    finish_scheme(controller, Vec::new())
-}
-
-/// [`run_scheme_sampled`] over a [`ChunkSource`]: the sampler operates
-/// on borrowed chunk ops with global indexing, so window boundaries and
-/// deltas are byte-identical to the materialized sampled replay no
-/// matter where chunk seams fall. At every seam the sampler's writer is
-/// flushed (completed windows become visible to live consumers) without
-/// changing the emitted bytes.
-///
-/// # Panics
-///
-/// Panics if the sampler's writer fails, like [`run_scheme_sampled`].
-pub fn run_scheme_streamed_sampled<S: ChunkSource>(
-    controller: &mut dyn Controller,
-    mut chunks: S,
-    warmup_ops: usize,
-    sampler: &mut Sampler,
-) -> SchemeResult {
-    let _span = SpanGuard::enter(controller.name());
-    if let Some(obs) = controller.obs() {
-        sampler.rebaseline(obs.registry());
-    }
-    let warmup = warmup_ops as u64;
-    let mut index = 0u64;
-    while let Some(chunk) = chunks.next_chunk() {
-        for op in chunk.ops() {
-            if index == warmup {
-                controller.reset_counters();
-                if let Some(obs) = controller.obs() {
-                    sampler.rebaseline(obs.registry());
+    /// Replays the next `ops` of the stream.
+    pub fn feed(&mut self, ops: &[MemOp]) {
+        for sub in ops.chunks(REPLAY_BATCH_OPS) {
+            if let Some(batch) = self.batch.as_mut() {
+                batch.decode(sub);
+            }
+            let mut at = 0;
+            while at < sub.len() {
+                if self.index == self.warmup {
+                    self.controller.reset_counters();
+                    if let (Some(sampler), Some(obs)) =
+                        (self.sampler.as_deref_mut(), self.controller.obs())
+                    {
+                        sampler.rebaseline(obs.registry());
+                    }
+                }
+                let mut len = (sub.len() - at) as u64;
+                if self.warmup > self.index {
+                    len = len.min(self.warmup - self.index);
+                }
+                if let Some(sampler) = self.sampler.as_deref() {
+                    len = len.min(sampler.ops_to_boundary());
+                }
+                let end = at + len as usize;
+                match &self.batch {
+                    Some(batch) => self.controller.access_batch(batch, at..end),
+                    None => {
+                        for op in &sub[at..end] {
+                            self.controller.access(op);
+                        }
+                    }
+                }
+                at = end;
+                self.index += len;
+                if let Some(sampler) = self.sampler.as_deref_mut() {
+                    if sampler.note_ops(len) {
+                        close_window(&*self.controller, sampler, false);
+                    }
                 }
             }
-            controller.access(op);
-            if sampler.note_op() {
-                if let Some(obs) = controller.obs() {
-                    let occupancy = controller.occupancy().unwrap_or_default();
-                    sampler
-                        .sample(obs.registry(), occupancy)
-                        .expect("series writer failed");
-                }
-            }
-            index += 1;
         }
-        sampler.flush_writer().expect("series writer failed");
+        if let Some(sampler) = self.sampler.as_deref_mut() {
+            // Completed windows become visible to live consumers at every
+            // feed; this changes when bytes are written, never which.
+            sampler.flush_writer().expect("series writer failed");
+        }
     }
-    controller.flush();
-    if let Some(obs) = controller.obs() {
-        let occupancy = controller.occupancy().unwrap_or_default();
-        sampler
-            .finish(obs.registry(), occupancy)
-            .expect("series writer failed");
+
+    /// Flushes the controller, closes the sampler's final window, and
+    /// snapshots the outcome; the sampler's retained ring becomes
+    /// [`SchemeResult::series`].
+    pub fn finish(self) -> SchemeResult {
+        let controller = self.controller;
+        controller.flush();
+        let series = match self.sampler {
+            Some(sampler) => {
+                close_window(&*controller, sampler, true);
+                sampler.take_ring()
+            }
+            None => Vec::new(),
+        };
+        let (metrics, events, registry) = match controller.obs() {
+            Some(obs) => (
+                obs.registry().to_value(),
+                obs.tracer().events().copied().collect(),
+                obs.registry().clone(),
+            ),
+            None => (serde_json::Value::Null, Vec::new(), MetricRegistry::new()),
+        };
+        SchemeResult {
+            scheme: controller.name(),
+            array_accesses: controller.array_accesses(),
+            traffic: *controller.traffic(),
+            stats: *controller.stats(),
+            metrics,
+            events,
+            registry,
+            series,
+        }
     }
-    finish_scheme(controller, sampler.take_ring())
 }
 
-/// Snapshots a replayed controller into a [`SchemeResult`].
-fn finish_scheme(controller: &mut dyn Controller, series: Vec<SeriesSample>) -> SchemeResult {
-    let (metrics, events, registry) = match controller.obs() {
-        Some(obs) => (
-            obs.registry().to_value(),
-            obs.tracer().events().copied().collect(),
-            obs.registry().clone(),
-        ),
-        None => (serde_json::Value::Null, Vec::new(), MetricRegistry::new()),
+/// Closes the sampler's current window — or, when `last`, its final
+/// partial one — against the controller's live registry and buffer
+/// occupancy.
+fn close_window(controller: &dyn Controller, sampler: &mut Sampler, last: bool) {
+    let Some(obs) = controller.obs() else {
+        return;
     };
-    SchemeResult {
-        scheme: controller.name(),
-        array_accesses: controller.array_accesses(),
-        traffic: *controller.traffic(),
-        stats: *controller.stats(),
-        metrics,
-        events,
-        registry,
-        series,
+    let occupancy = controller.occupancy().unwrap_or_default();
+    let written = if last {
+        sampler.finish(obs.registry(), occupancy)
+    } else {
+        sampler.sample(obs.registry(), occupancy)
+    };
+    written.expect("series writer failed");
+}
+
+/// The op stream a replay or a stream measurement consumes.
+pub enum OpSource<'t, S> {
+    /// A materialized trace, fed once as a borrowed slice: nothing is
+    /// copied.
+    Trace(&'t Trace),
+    /// A chunk stream, fed chunk by chunk, so memory stays bounded by
+    /// the chunk size regardless of trace length.
+    Chunks(S),
+}
+
+impl<S: ChunkSource> OpSource<'_, S> {
+    /// Feeds every op through `replay` and returns its result.
+    pub fn replay(self, mut replay: Replay<'_>) -> SchemeResult {
+        match self {
+            OpSource::Trace(trace) => replay.feed(trace.ops()),
+            OpSource::Chunks(mut chunks) => {
+                while let Some(chunk) = chunks.next_chunk() {
+                    replay.feed(chunk.ops());
+                }
+            }
+        }
+        replay.finish()
+    }
+
+    /// The Figure-3/4/5 statistics of the measured region; streamed and
+    /// materialized results are bit-identical.
+    pub fn measure(self, config: RunConfig) -> StreamStats {
+        match self {
+            OpSource::Trace(trace) => measure_stream(trace, config),
+            OpSource::Chunks(chunks) => measure_stream_streamed(chunks, config),
+        }
     }
 }
 
 /// Runs one scheme of one benchmark over an already-generated trace —
 /// the sweep engine's unit of parallel work.
 pub fn run_scheme_on_trace(scheme: SchemeKind, trace: &Trace, config: RunConfig) -> SchemeResult {
-    run_scheme(
-        scheme.build(config.geometry).as_mut(),
-        trace,
-        config.warmup_ops,
-    )
+    let mut controller = scheme.build(config.geometry);
+    let mut replay = Replay::new(controller.as_mut(), config.warmup_ops, None);
+    replay.feed(trace.ops());
+    replay.finish()
 }
 
 /// [`run_scheme_on_trace`] with series sampling: builds a ring-only
@@ -450,12 +418,21 @@ pub fn run_scheme_on_trace_sampled(
     sampler_config: SamplerConfig,
 ) -> SchemeResult {
     let mut sampler = Sampler::new(bench, scheme.name(), sampler_config);
-    run_scheme_sampled(
-        scheme.build(config.geometry).as_mut(),
-        trace,
-        config.warmup_ops,
-        &mut sampler,
-    )
+    let mut controller = scheme.build(config.geometry);
+    let mut replay = Replay::new(controller.as_mut(), config.warmup_ops, Some(&mut sampler));
+    replay.feed(trace.ops());
+    replay.finish()
+}
+
+/// Runs one scheme over a chunk stream — the sweep engine's streamed
+/// unit of parallel work, mirroring [`run_scheme_on_trace`].
+pub fn run_scheme_on_stream<S: ChunkSource>(
+    scheme: SchemeKind,
+    chunks: S,
+    config: RunConfig,
+) -> SchemeResult {
+    let mut controller = scheme.build(config.geometry);
+    OpSource::Chunks(chunks).replay(Replay::new(controller.as_mut(), config.warmup_ops, None))
 }
 
 /// Measures the Figure-3/4/5 stream statistics of the measured region —
@@ -489,38 +466,6 @@ pub fn measure_stream_streamed<S: ChunkSource>(mut chunks: S, config: RunConfig)
     }
     let split = warmup_split(total_ops as usize, total_instructions, config.warmup_ops);
     acc.finish(split.measured_instructions)
-}
-
-/// Runs one scheme over a chunk stream — the sweep engine's streamed
-/// unit of parallel work, mirroring [`run_scheme_on_trace`].
-pub fn run_scheme_on_stream<S: ChunkSource>(
-    scheme: SchemeKind,
-    chunks: S,
-    config: RunConfig,
-) -> SchemeResult {
-    run_scheme_streamed(
-        scheme.build(config.geometry).as_mut(),
-        chunks,
-        config.warmup_ops,
-    )
-}
-
-/// [`run_scheme_on_stream`] with series sampling, mirroring
-/// [`run_scheme_on_trace_sampled`].
-pub fn run_scheme_on_stream_sampled<S: ChunkSource>(
-    scheme: SchemeKind,
-    chunks: S,
-    config: RunConfig,
-    bench: &str,
-    sampler_config: SamplerConfig,
-) -> SchemeResult {
-    let mut sampler = Sampler::new(bench, scheme.name(), sampler_config);
-    run_scheme_streamed_sampled(
-        scheme.build(config.geometry).as_mut(),
-        chunks,
-        config.warmup_ops,
-        &mut sampler,
-    )
 }
 
 /// Generates the benchmark's trace exactly as the experiment runner
@@ -728,16 +673,18 @@ mod tests {
             (result, bytes)
         };
 
-        let (materialized, mat_bytes) =
-            run(&|c, s| run_scheme_sampled(c, &trace, config.warmup_ops, s));
+        let (materialized, mat_bytes) = run(&|c, s| {
+            let mut replay = Replay::new(c, config.warmup_ops, Some(s));
+            replay.feed(trace.ops());
+            replay.finish()
+        });
         for chunk_ops in [1_000usize, 4_096] {
             let (streamed, stream_bytes) = run(&|c, s| {
-                run_scheme_streamed_sampled(
+                OpSource::Chunks(chunks_for(&p, config, chunk_ops)).replay(Replay::new(
                     c,
-                    chunks_for(&p, config, chunk_ops),
                     config.warmup_ops,
-                    s,
-                )
+                    Some(s),
+                ))
             });
             assert_eq!(
                 mat_bytes, stream_bytes,
@@ -803,8 +750,9 @@ mod tests {
         };
         let mut sampler = Sampler::new("mcf", "WG", sampler_config);
         let mut controller = SchemeKind::Wg.build(config.geometry);
-        let result =
-            run_scheme_sampled(controller.as_mut(), &trace, config.warmup_ops, &mut sampler);
+        let mut replay = Replay::new(controller.as_mut(), config.warmup_ops, Some(&mut sampler));
+        replay.feed(trace.ops());
+        let result = replay.finish();
         let windows = config.total_ops() as u64 / 64;
         assert!(sampler.emitted() >= windows, "{}", sampler.emitted());
         assert_eq!(result.series.len(), 32, "ring must stay at capacity");

@@ -31,9 +31,9 @@ pub mod stream;
 pub mod sweep;
 
 pub use experiment::{
-    average, replay_ops_batched, run_benchmark, run_benchmark_on_trace, run_scheme_on_stream,
-    run_scheme_on_stream_sampled, run_scheme_on_trace, run_scheme_on_trace_sampled, run_suite,
-    BenchmarkResult, RunConfig, SchemeKind, SchemeResult,
+    average, run_benchmark, run_benchmark_on_trace, run_scheme_on_stream, run_scheme_on_trace,
+    run_scheme_on_trace_sampled, run_suite, BenchmarkResult, OpSource, Replay, RunConfig,
+    SchemeKind, SchemeResult,
 };
 pub use pool::{
     run_jobs, run_jobs_cancellable, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress,

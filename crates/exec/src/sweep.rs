@@ -25,16 +25,12 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
-use cache8t_obs::{MetricRegistry, SamplerConfig, SeriesSample, SpanStat, TimelineSpan};
+use cache8t_obs::{MetricRegistry, Sampler, SamplerConfig, SeriesSample, SpanStat, TimelineSpan};
 use cache8t_sim::CacheGeometry;
 use cache8t_trace::analyze::StreamStats;
 use cache8t_trace::{profiles, WorkloadProfile};
 
-use crate::experiment::{
-    measure_stream, measure_stream_streamed, run_scheme_on_stream, run_scheme_on_stream_sampled,
-    run_scheme_on_trace, run_scheme_on_trace_sampled, BenchmarkResult, RunConfig, SchemeKind,
-    SchemeResult,
-};
+use crate::experiment::{BenchmarkResult, OpSource, Replay, RunConfig, SchemeKind, SchemeResult};
 use crate::pool::{run_jobs_cancellable, CancelToken, ExecOptions, JobOutcome, JobProgress};
 use crate::store::TraceStore;
 use crate::stream::PrefetchedChunks;
@@ -511,49 +507,33 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                     "job",
                 );
                 let config = plan.config(g);
-                let result = if let Some(chunk_ops) = stream_chunk_ops {
-                    // Streamed unit: never materialize the trace. Each
-                    // unit takes its own cursor (deduplicated through
-                    // the stream's shared frontier) behind a
-                    // double-buffered prefetcher, so at most two chunks
-                    // per unit are resident.
-                    let stream = store.stream(profile, plan.seed, config.total_ops(), chunk_ops);
-                    let chunks = PrefetchedChunks::spawn(stream.cursor());
-                    match unit {
-                        Unit::Stream => UnitResult::Stream(measure_stream_streamed(chunks, config)),
-                        Unit::Scheme(kind) => UnitResult::Scheme(Box::new(match series {
-                            Some(sampler_config) => {
-                                let bench =
-                                    format!("{}/{}", plan.geometries[g].label, profile.name);
-                                run_scheme_on_stream_sampled(
-                                    kind,
-                                    chunks,
-                                    config,
-                                    &bench,
-                                    sampler_config,
-                                )
-                            }
-                            None => run_scheme_on_stream(kind, chunks, config),
-                        })),
+                // A streamed unit never materializes the trace: it takes
+                // its own cursor (deduplicated through the stream's shared
+                // frontier) behind a double-buffered prefetcher, so at most
+                // two chunks per unit are resident.
+                let trace;
+                let source = match stream_chunk_ops {
+                    Some(chunk_ops) => {
+                        let stream =
+                            store.stream(profile, plan.seed, config.total_ops(), chunk_ops);
+                        OpSource::Chunks(PrefetchedChunks::spawn(stream.cursor()))
                     }
-                } else {
-                    let trace = store.get(profile, plan.seed, config.total_ops());
-                    match unit {
-                        Unit::Stream => UnitResult::Stream(measure_stream(&trace, config)),
-                        Unit::Scheme(kind) => UnitResult::Scheme(Box::new(match series {
-                            Some(sampler_config) => {
-                                let bench =
-                                    format!("{}/{}", plan.geometries[g].label, profile.name);
-                                run_scheme_on_trace_sampled(
-                                    kind,
-                                    &trace,
-                                    config,
-                                    &bench,
-                                    sampler_config,
-                                )
-                            }
-                            None => run_scheme_on_trace(kind, &trace, config),
-                        })),
+                    None => {
+                        trace = store.get(profile, plan.seed, config.total_ops());
+                        OpSource::Trace(&trace)
+                    }
+                };
+                let result = match unit {
+                    Unit::Stream => UnitResult::Stream(source.measure(config)),
+                    Unit::Scheme(kind) => {
+                        let mut sampler = series.map(|sampler_config| {
+                            let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
+                            Sampler::new(&bench, kind.name(), sampler_config)
+                        });
+                        let mut controller = kind.build(config.geometry);
+                        let replay =
+                            Replay::new(controller.as_mut(), config.warmup_ops, sampler.as_mut());
+                        UnitResult::Scheme(Box::new(source.replay(replay)))
                     }
                 };
                 if let Some(hook) = hook {

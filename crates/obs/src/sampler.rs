@@ -243,11 +243,12 @@ pub fn parse_series_line(line: &str) -> Option<SeriesSample> {
 /// at every window boundary, retains a bounded ring, and optionally
 /// streams each sample as JSONL.
 ///
-/// Protocol: call [`note_op`](Sampler::note_op) once per replayed op;
-/// when it returns `true` a window boundary was crossed and the caller
-/// must call [`sample`](Sampler::sample) with the live registry. After
-/// the replay, [`finish`](Sampler::finish) emits the final partial
-/// window and flushes the writer.
+/// Protocol: replay at most [`ops_to_boundary`](Sampler::ops_to_boundary)
+/// ops, report them with [`note_ops`](Sampler::note_ops); when it
+/// returns `true` the replay sits exactly on a window boundary and the
+/// caller must call [`sample`](Sampler::sample) with the live registry.
+/// After the replay, [`finish`](Sampler::finish) emits the final
+/// partial window and flushes the writer.
 pub struct Sampler {
     bench: String,
     scheme: String,
@@ -315,16 +316,19 @@ impl Sampler {
         self.config.cadence
     }
 
-    /// Records one replayed op; `true` means a window boundary was hit
-    /// and [`sample`](Sampler::sample) must be called.
-    ///
-    /// The comparison is `>=`, not `==`: if a caller ever skips a
-    /// boundary (e.g. a controller without an observability surface has
-    /// no registry to sample), the sampler asks again at the next op
-    /// instead of silently never sampling again.
+    /// Ops left until the current window closes: the most a replay may
+    /// run before it next calls [`note_ops`](Sampler::note_ops). At
+    /// least 1 whenever the caller samples every boundary it is told of.
     #[inline]
-    pub fn note_op(&mut self) -> bool {
-        self.ops_seen += 1;
+    pub fn ops_to_boundary(&self) -> u64 {
+        self.next_boundary.saturating_sub(self.ops_seen)
+    }
+
+    /// Records `n` replayed ops; `true` means the window boundary was
+    /// reached and [`sample`](Sampler::sample) must be called.
+    #[inline]
+    pub fn note_ops(&mut self, n: u64) -> bool {
+        self.ops_seen += n;
         self.ops_seen >= self.next_boundary
     }
 
@@ -528,14 +532,14 @@ mod tests {
         let mut s = Sampler::new("gcc", "WG", SamplerConfig::with_cadence(4));
         let mut r = registry_with(&[("ctrl.reads", 0), ("ctrl.writes", 0)]);
         for _ in 0..4 {
-            assert!(!s.note_op() || s.ops_seen() == 4);
+            assert!(!s.note_ops(1) || s.ops_seen() == 4);
         }
         let id = r.counter("ctrl.reads");
         r.add(id, 10);
         s.sample(&r, Vec::new()).unwrap();
         r.add(id, 7);
         for _ in 0..4 {
-            s.note_op();
+            s.note_ops(1);
         }
         s.sample(&r, Vec::new()).unwrap();
         let samples: Vec<_> = s.ring().collect();
@@ -556,7 +560,7 @@ mod tests {
         let r = MetricRegistry::new();
         let mut fired = Vec::new();
         for i in 1..=9u64 {
-            if s.note_op() {
+            if s.note_ops(1) {
                 fired.push(i);
                 s.sample(&r, Vec::new()).unwrap();
             }
@@ -573,7 +577,7 @@ mod tests {
         let mut s = Sampler::new("", "6T", config);
         let r = MetricRegistry::new();
         for _ in 0..10 {
-            s.note_op();
+            s.note_ops(1);
             s.sample(&r, Vec::new()).unwrap();
         }
         assert_eq!(s.ring().count(), 3);
@@ -587,7 +591,7 @@ mod tests {
         let mut s = Sampler::new("", "RMW", SamplerConfig::with_cadence(100));
         let r = registry_with(&[("ctrl.reads", 5)]);
         for _ in 0..42 {
-            assert!(!s.note_op());
+            assert!(!s.note_ops(1));
         }
         s.finish(&r, Vec::new()).unwrap();
         let last = s.last().expect("partial window emitted");
@@ -609,7 +613,7 @@ mod tests {
         let mut r = MetricRegistry::new();
         let id = r.counter("wg.writebacks");
         for _ in 0..6 {
-            if s.note_op() {
+            if s.note_ops(1) {
                 r.add(id, 2);
                 s.sample(&r, Vec::new()).unwrap();
             }
@@ -637,7 +641,7 @@ mod tests {
         let id = r.counter("ctrl.reads");
         for _ in 0..10 {
             r.add(id, 1);
-            if s.note_op() {
+            if s.note_ops(1) {
                 s.sample(&r, Vec::new()).unwrap();
             }
         }
@@ -654,16 +658,125 @@ mod tests {
     fn missed_boundary_reasserts_on_the_next_op() {
         let mut s = Sampler::new("", "6T", SamplerConfig::with_cadence(3));
         let r = MetricRegistry::new();
-        assert!(!s.note_op());
-        assert!(!s.note_op());
-        assert!(s.note_op(), "boundary at op 3");
+        assert!(!s.note_ops(1));
+        assert!(!s.note_ops(1));
+        assert!(s.note_ops(1), "boundary at op 3");
         // The caller skipped sample() (no obs surface): the sampler
         // keeps asking instead of going silent forever.
-        assert!(s.note_op());
+        assert!(s.note_ops(1));
         s.sample(&r, Vec::new()).unwrap();
-        assert!(!s.note_op());
+        assert!(!s.note_ops(1));
         let last = s.last().unwrap();
         assert_eq!((last.op_start, last.op_end), (0, 4));
+    }
+
+    /// Replays `total` ops the way a batched replay does: pieces of at
+    /// most `batch` ops, each cut short at the next window boundary,
+    /// with `on_piece(len)` run after each piece's ops are replayed and
+    /// a sample taken whenever a piece lands on a boundary. Returns the
+    /// piece lengths.
+    fn drive_batched(
+        s: &mut Sampler,
+        r: &mut MetricRegistry,
+        total: u64,
+        batch: u64,
+        mut on_piece: impl FnMut(&mut Sampler, &mut MetricRegistry, u64),
+    ) -> Vec<u64> {
+        let mut pieces = Vec::new();
+        let mut done = 0;
+        while done < total {
+            let end_of_batch = (done / batch + 1) * batch;
+            let len = (end_of_batch.min(total) - done).min(s.ops_to_boundary());
+            done += len;
+            pieces.push(len);
+            on_piece(s, r, len);
+            if s.note_ops(len) {
+                s.sample(r, Vec::new()).unwrap();
+            }
+        }
+        pieces
+    }
+
+    #[test]
+    fn boundary_on_a_sub_batch_end_closes_exactly_there() {
+        // Cadence 8 over batches of 4: every second batch ends on a
+        // window boundary, so no piece is ever split.
+        let mut s = Sampler::new("", "WG", SamplerConfig::with_cadence(8));
+        let mut r = registry_with(&[("ctrl.reads", 0)]);
+        let id = r.counter("ctrl.reads");
+        let pieces = drive_batched(&mut s, &mut r, 20, 4, |_, r, len| r.add(id, len));
+        assert_eq!(pieces, vec![4; 5]);
+        s.finish(&r, Vec::new()).unwrap();
+        let windows: Vec<_> = s.ring().map(|w| (w.op_start, w.op_end)).collect();
+        assert_eq!(windows, vec![(0, 8), (8, 16), (16, 20)]);
+        let deltas: Vec<_> = s.ring().map(|w| w.delta("ctrl.reads")).collect();
+        assert_eq!(deltas, vec![8, 8, 4]);
+    }
+
+    #[test]
+    fn cadence_one_samples_after_every_op() {
+        let config = SamplerConfig {
+            cadence: 1,
+            ring_capacity: 64,
+        };
+        let mut s = Sampler::new("", "6T", config);
+        let mut r = MetricRegistry::new();
+        assert_eq!(s.ops_to_boundary(), 1);
+        let pieces = drive_batched(&mut s, &mut r, 10, 4, |s, _, _| {
+            assert_eq!(s.ops_to_boundary(), 1, "every piece is one op");
+        });
+        assert_eq!(pieces, vec![1; 10]);
+        assert_eq!(s.emitted(), 10);
+        s.finish(&r, Vec::new()).unwrap();
+        assert_eq!(s.emitted(), 10, "no partial window is left over");
+        assert!(s.ring().all(|w| w.ops() == 1));
+    }
+
+    #[test]
+    fn cadence_longer_than_the_trace_emits_one_tail_window() {
+        let mut s = Sampler::new("", "RMW", SamplerConfig::with_cadence(1_000));
+        let mut r = registry_with(&[("ctrl.writes", 0)]);
+        let id = r.counter("ctrl.writes");
+        let pieces = drive_batched(&mut s, &mut r, 30, 8, |_, r, len| r.add(id, len));
+        assert_eq!(pieces, vec![8, 8, 8, 6], "batches are never split");
+        assert_eq!(s.emitted(), 0);
+        assert_eq!(s.ops_to_boundary(), 970);
+        s.finish(&r, Vec::new()).unwrap();
+        let tail = s.last().unwrap();
+        assert_eq!((tail.op_start, tail.op_end), (0, 30));
+        assert_eq!(tail.delta("ctrl.writes"), 30);
+    }
+
+    #[test]
+    fn warmup_reset_on_a_window_boundary_rebaselines_after_the_sample() {
+        // Cadence 6 over batches of 4 with the warm-up seam at op 6, on
+        // the window boundary: the window closes first (carrying the
+        // warm-up counts), then the counters reset and the sampler
+        // rebaselines, so the next window counts from zero.
+        let mut s = Sampler::new("", "WG", SamplerConfig::with_cadence(6));
+        let mut r = registry_with(&[("ctrl.reads", 0)]);
+        s.rebaseline(&r);
+        let mut seen = 0;
+        // Piece ends: batch seams at 4, 8 and 12, the boundary at 6.
+        for end in [4, 6, 8, 12] {
+            if seen == 6 {
+                r.reset();
+                s.rebaseline(&r);
+            }
+            let len = end - seen;
+            assert!(len <= s.ops_to_boundary(), "pieces never cross a boundary");
+            let id = r.counter("ctrl.reads");
+            r.add(id, len);
+            seen = end;
+            if s.note_ops(len) {
+                s.sample(&r, Vec::new()).unwrap();
+            }
+        }
+        let windows: Vec<_> = s
+            .ring()
+            .map(|w| (w.op_start, w.op_end, w.delta("ctrl.reads")))
+            .collect();
+        assert_eq!(windows, vec![(0, 6, 6), (6, 12, 6)]);
     }
 
     #[test]
@@ -674,15 +787,15 @@ mod tests {
         r.reset();
         let id = r.counter("ctrl.writes");
         r.add(id, 3);
-        s.note_op();
-        s.note_op();
+        s.note_ops(1);
+        s.note_ops(1);
         s.sample(&r, Vec::new()).unwrap();
         // Without rebaseline the saturating delta would clamp to 0;
         // with it the reset itself must also not produce garbage.
         assert_eq!(s.last().unwrap().delta("ctrl.writes"), 0);
         r.add(id, 9);
-        s.note_op();
-        s.note_op();
+        s.note_ops(1);
+        s.note_ops(1);
         s.sample(&r, Vec::new()).unwrap();
         assert_eq!(s.last().unwrap().delta("ctrl.writes"), 9);
     }
@@ -768,7 +881,7 @@ mod tests {
             Sampler::new("gcc", "WG", SamplerConfig::with_cadence(2)).with_writer(Box::new(sink));
         let r = MetricRegistry::new();
         for _ in 0..5 {
-            if s.note_op() {
+            if s.note_ops(1) {
                 s.sample(&r, Vec::new()).unwrap();
             }
         }

@@ -21,11 +21,10 @@ use cache8t::core::{
     CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
     WgController, WgOptions, WgRbController,
 };
-use cache8t::exec::experiment::run_scheme_sampled;
 use cache8t::exec::{
-    average, merge_documents, metrics_document, replay_ops_batched, run_jobs, run_sweep,
-    to_document, BenchmarkResult, ExecOptions, GeometryPoint, JobOutcome, Shard, SweepOptions,
-    SweepPlan, TraceStore,
+    average, merge_documents, metrics_document, run_jobs, run_sweep, to_document, BenchmarkResult,
+    ExecOptions, GeometryPoint, JobOutcome, OpSource, Replay, Shard, SweepOptions, SweepPlan,
+    TraceStore,
 };
 use cache8t::exec::{ChunkSource, PrefetchedChunks};
 use cache8t::obs::sampler::{self, Sampler, SamplerConfig, SeriesSample};
@@ -427,13 +426,22 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         timeline::enable();
         timeline::set_track_name("main");
     }
-    if let Some(chunk_ops) = o.stream_chunk_ops {
-        return cmd_simulate_streamed(o, scheme, chunk_ops);
-    }
-    let trace = load_or_generate(o)?;
+    // A mid-stream `.c8tt` read error ends the stream; it is reported
+    // after the replay.
+    let read_error = std::sync::Arc::new(std::sync::Mutex::new(None));
+    let trace;
+    let (source, total_ops) = match o.stream_chunk_ops {
+        None => {
+            trace = load_or_generate(o)?;
+            (OpSource::Trace(&trace), trace.len() as u64)
+        }
+        Some(chunk_ops) => {
+            let (chunks, total_ops) = open_chunks(o, chunk_ops, &read_error)?;
+            (OpSource::Chunks(chunks), total_ops)
+        }
+    };
     let mut controller = build_controller(scheme, o.cache, o.l2)?;
-    timeline::begin("replay", "sim");
-    match &o.series_out {
+    let mut series_sampler = match &o.series_out {
         Some(path) => {
             // Stream each window straight to disk: the sampler's ring
             // stays bounded, so even a very long replay holds flat
@@ -446,26 +454,34 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
                 .clone()
                 .or_else(|| o.trace.clone())
                 .unwrap_or_default();
-            let mut series_sampler = Sampler::new(&bench, controller.name(), sampler_config(o))
-                .with_writer(Box::new(writer));
-            run_scheme_sampled(controller.as_mut(), &trace, 0, &mut series_sampler);
-            eprintln!(
-                "telemetry series ({} windows) written to {path}",
-                series_sampler.emitted()
-            );
+            Some(
+                Sampler::new(&bench, controller.name(), sampler_config(o))
+                    .with_writer(Box::new(writer)),
+            )
         }
-        None => {
-            for op in &trace {
-                controller.access(op);
-            }
-            controller.flush();
-        }
-    }
+        None => None,
+    };
+    timeline::begin("replay", "sim");
+    source.replay(Replay::new(controller.as_mut(), 0, series_sampler.as_mut()));
     timeline::end("replay", "sim");
+    if let (Some(path), Some(sampler)) = (&o.series_out, &series_sampler) {
+        eprintln!(
+            "telemetry series ({} windows) written to {path}",
+            sampler.emitted()
+        );
+    }
+    if let Some(e) = read_error.lock().expect("error slot poisoned").take() {
+        let path = o.trace.as_deref().unwrap_or_default();
+        return Err(format!("cannot read {path}: {e}"));
+    }
+    let streamed = o
+        .stream_chunk_ops
+        .map(|chunk_ops| format!(", streamed x{chunk_ops} chunks"))
+        .unwrap_or_default();
     println!(
-        "scheme {} on {} ops ({}KB/{}-way/{}B cache):",
+        "scheme {} on {} ops ({}KB/{}-way/{}B cache{streamed}):",
         controller.name(),
-        trace.len(),
+        total_ops,
         o.cache.capacity_bytes() / 1024,
         o.cache.ways(),
         o.cache.block_bytes()
@@ -482,23 +498,22 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
 /// Chunk-at-a-time reads of a saved `.c8tt` trace for streamed replay.
 /// The header's instruction total is pro-rated over chunks with
 /// telescoping floors, so per-chunk counts sum exactly to the total.
-/// A mid-stream read error is recorded and ends the stream; the caller
-/// surfaces it after replay.
+/// A mid-stream read error is stored in `error` and ends the stream.
 struct FileChunks {
     reader: TraceFileReader<BufReader<File>>,
     chunk_ops: usize,
-    error: Option<String>,
+    error: std::sync::Arc<std::sync::Mutex<Option<String>>>,
 }
 
 impl ChunkSource for FileChunks {
     fn next_chunk(&mut self) -> Option<std::sync::Arc<TraceChunk>> {
-        if self.error.is_some() || self.reader.remaining() == 0 {
+        if self.reader.remaining() == 0 {
             return None;
         }
         let start_op = self.reader.position();
         let mut ops = Vec::new();
         if let Err(e) = self.reader.read_ops(&mut ops, self.chunk_ops as u64) {
-            self.error = Some(e.to_string());
+            *self.error.lock().expect("error slot poisoned") = Some(e.to_string());
             return None;
         }
         let end_op = self.reader.position();
@@ -514,106 +529,40 @@ impl ChunkSource for FileChunks {
     }
 }
 
-/// `simulate --stream-chunk-ops N`: the bounded-memory replay path.
-/// The trace is never materialized — chunks of N ops are generated (or
-/// read from the `.c8tt` file) on a prefetch thread while the replay
-/// loop consumes the previous chunk, so RSS stays flat at roughly two
-/// chunks for any `--ops`, and the counters come out bit-identical to
-/// the materialized replay.
-fn cmd_simulate_streamed(o: &Options, scheme: &str, chunk_ops: usize) -> Result<(), String> {
-    use cache8t::exec::experiment::{run_scheme_streamed, run_scheme_streamed_sampled};
-
-    let mut controller = build_controller(scheme, o.cache, o.l2)?;
-    let (chunks, total_ops, file_error) = match (&o.trace, &o.profile) {
+/// The bounded-memory source for `simulate --stream-chunk-ops N`: the
+/// trace is never materialized. Chunks of N ops are generated (or read
+/// from the `.c8tt` file) on a prefetch thread while the replay consumes
+/// the previous chunk, so RSS stays flat at roughly two chunks for any
+/// `--ops`. Returns the source and its total op count.
+fn open_chunks(
+    o: &Options,
+    chunk_ops: usize,
+    read_error: &std::sync::Arc<std::sync::Mutex<Option<String>>>,
+) -> Result<(PrefetchedChunks, u64), String> {
+    match (&o.trace, &o.profile) {
         (Some(path), None) => {
             let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
             let reader = TraceFileReader::open(BufReader::new(file))
                 .map_err(|e| format!("cannot read {path}: {e}"))?;
             let total_ops = reader.op_count();
-            let source = std::sync::Arc::new(std::sync::Mutex::new(None::<String>));
-            struct Reporting {
-                inner: FileChunks,
-                error: std::sync::Arc<std::sync::Mutex<Option<String>>>,
-            }
-            impl ChunkSource for Reporting {
-                fn next_chunk(&mut self) -> Option<std::sync::Arc<TraceChunk>> {
-                    let chunk = self.inner.next_chunk();
-                    if let Some(e) = self.inner.error.take() {
-                        *self.error.lock().expect("error slot poisoned") = Some(e);
-                    }
-                    chunk
-                }
-            }
-            let chunks = PrefetchedChunks::spawn(Reporting {
-                inner: FileChunks {
-                    reader,
-                    chunk_ops,
-                    error: None,
-                },
-                error: std::sync::Arc::clone(&source),
-            });
-            (chunks, total_ops, Some((path.clone(), source)))
+            let chunks = FileChunks {
+                reader,
+                chunk_ops,
+                error: std::sync::Arc::clone(read_error),
+            };
+            Ok((PrefetchedChunks::spawn(chunks), total_ops))
         }
         (None, Some(name)) => {
             let profile = profiles::by_name(name)
                 .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))?;
             let generator =
                 ProfiledGenerator::new(profile, CacheGeometry::paper_baseline(), o.seed);
-            let chunks =
-                PrefetchedChunks::spawn(ChunkedGenerator::new(generator, chunk_ops, o.ops as u64));
-            (chunks, o.ops as u64, None)
+            let chunks = ChunkedGenerator::new(generator, chunk_ops, o.ops as u64);
+            Ok((PrefetchedChunks::spawn(chunks), o.ops as u64))
         }
-        (Some(_), Some(_)) => {
-            return Err("--trace and --profile are mutually exclusive".to_string())
-        }
-        (None, None) => return Err("need --trace FILE or --profile NAME".to_string()),
-    };
-
-    timeline::begin("replay", "sim");
-    match &o.series_out {
-        Some(path) => {
-            let writer = BufWriter::new(
-                File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            );
-            let bench = o
-                .profile
-                .clone()
-                .or_else(|| o.trace.clone())
-                .unwrap_or_default();
-            let mut series_sampler = Sampler::new(&bench, controller.name(), sampler_config(o))
-                .with_writer(Box::new(writer));
-            run_scheme_streamed_sampled(controller.as_mut(), chunks, 0, &mut series_sampler);
-            eprintln!(
-                "telemetry series ({} windows) written to {path}",
-                series_sampler.emitted()
-            );
-        }
-        None => {
-            run_scheme_streamed(controller.as_mut(), chunks, 0);
-        }
+        (Some(_), Some(_)) => Err("--trace and --profile are mutually exclusive".to_string()),
+        (None, None) => Err("need --trace FILE or --profile NAME".to_string()),
     }
-    timeline::end("replay", "sim");
-    if let Some((path, error)) = file_error {
-        if let Some(e) = error.lock().expect("error slot poisoned").take() {
-            return Err(format!("cannot read {path}: {e}"));
-        }
-    }
-    println!(
-        "scheme {} on {} ops ({}KB/{}-way/{}B cache, streamed x{} chunks):",
-        controller.name(),
-        total_ops,
-        o.cache.capacity_bytes() / 1024,
-        o.cache.ways(),
-        o.cache.block_bytes(),
-        chunk_ops,
-    );
-    println!("  {}", controller.traffic());
-    println!("  requests: {}", controller.stats());
-    write_observability(o, controller.as_ref())?;
-    if let Some(path) = &o.timeline_out {
-        write_timeline(path)?;
-    }
-    Ok(())
 }
 
 /// Schemes `bench-core` measures, in display order. `coalesce:8`
@@ -642,39 +591,23 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
     );
     println!("  {:<12} {:>12} {:>10}", "scheme", "ops/sec", "ms/rep");
     let mut throughput: Vec<(String, serde_json::Value)> = Vec::new();
-    // The batch is shared across schemes and reps, like the replay paths
-    // share it across chunks; its decode cost is inside the timer because
-    // it is part of what the batched path really costs. CACHE8T_NO_BATCH=1
-    // times the per-op reference path instead (the same switch the replay
-    // loops honor), for before/after comparisons on one binary.
-    let per_op = std::env::var("CACHE8T_NO_BATCH").is_ok_and(|v| v == "1");
-    let mut batch = DecodedBatch::new(o.cache);
+    // Each rep times one whole replay step — batch decode, replay and
+    // the final flush and snapshot — through the same `Replay` step `simulate`
+    // runs. A warm-up equal to the trace length never fires the counter
+    // reset. CACHE8T_NO_BATCH=1 selects `Replay`'s per-op reference
+    // path, for before/after comparisons on one binary.
     for scheme in BENCH_CORE_SCHEMES {
         let mut best = f64::INFINITY;
         for _ in 0..o.reps {
             let mut controller = build_controller(scheme, o.cache, o.l2)?;
             let start = std::time::Instant::now();
-            if per_op {
-                for op in &trace {
-                    controller.access(op);
-                }
-            } else {
-                // A warm-up equal to the trace length never fires the
-                // counter reset: this times the same batched path
-                // `simulate` runs.
-                replay_ops_batched(
-                    controller.as_mut(),
-                    trace.ops(),
-                    0,
-                    trace.len() as u64,
-                    &mut batch,
-                );
-            }
-            controller.flush();
+            let mut replay = Replay::new(controller.as_mut(), trace.len(), None);
+            replay.feed(trace.ops());
+            let result = replay.finish();
             let elapsed = start.elapsed().as_secs_f64();
             // Keep the run observable so the replay loop cannot be
             // optimized out from under the timer.
-            std::hint::black_box(controller.array_accesses());
+            std::hint::black_box(result.array_accesses);
             best = best.min(elapsed);
         }
         let ops_per_sec = trace.len() as f64 / best;
@@ -746,7 +679,7 @@ fn bench_core_kernels(
     // `probe`: the branchless multi-way tag search over a warmed cache,
     // fed from the decoded set/tag columns like the controllers feed it.
     let mut warm = build_controller("6t", o.cache, o.l2)?;
-    warm.access_batch(&scratch, 0..scratch.len());
+    Replay::new(warm.as_mut(), trace.len(), None).feed(trace.ops());
     let probe_best = best_of(o.reps, || {
         let cache = warm.cache();
         let mut found = 0u64;

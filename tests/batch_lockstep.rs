@@ -2,19 +2,23 @@
 //! through `Controller::access_batch` must be bit-identical to servicing
 //! the same ops one at a time through `access` — for all five schemes,
 //! at several batch sizes, with the warm-up counter reset landing on and
-//! off batch seams.
+//! off batch seams, and with the telemetry sampler's windows splitting
+//! the batches (series bytes included).
 //!
 //! This is the lock on the batched-kernel tentpole: any drift between
 //! the decoded fast paths (branchless probe, pre-split set/tag/word
 //! columns, block-granularity compares) and the per-op reference lands
 //! here as a field-level diff.
 
+use std::sync::{Arc, Mutex};
+
 use cache8t::conform::SchemeId;
 use cache8t::core::{
     CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
     WgController, WgOptions, WgRbController,
 };
-use cache8t::exec::replay_ops_batched;
+use cache8t::exec::Replay;
+use cache8t::obs::sampler::{Sampler, SamplerConfig};
 use cache8t::sim::{CacheGeometry, ReplacementKind};
 use cache8t::trace::{DecodedBatch, ProfiledGenerator, Trace, TraceGenerator};
 
@@ -59,15 +63,66 @@ fn snapshot(controller: &dyn Controller, trace: &Trace) -> String {
     )
 }
 
-/// Per-op reference replay: the exact loop the batched paths must match.
-fn replay_per_op(controller: &mut dyn Controller, trace: &Trace, warmup_ops: usize) {
+/// Per-op reference replay: the exact loop the replay driver must match,
+/// sampler included — counters reset before the op at `warmup_ops`, and
+/// every op is noted to the sampler, which is sampled the moment a
+/// window fills.
+fn replay_per_op(
+    controller: &mut dyn Controller,
+    trace: &Trace,
+    warmup_ops: usize,
+    mut sampler: Option<&mut Sampler>,
+) {
+    if let (Some(sampler), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
+        sampler.rebaseline(obs.registry());
+    }
     for (i, op) in trace.iter().enumerate() {
         if i == warmup_ops {
             controller.reset_counters();
+            if let (Some(sampler), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
+                sampler.rebaseline(obs.registry());
+            }
         }
         controller.access(op);
+        if let Some(sampler) = sampler.as_deref_mut() {
+            if sampler.note_ops(1) {
+                let obs = controller.obs().expect("every scheme is instrumented");
+                let occupancy = controller.occupancy().unwrap_or_default();
+                sampler.sample(obs.registry(), occupancy).unwrap();
+            }
+        }
     }
     controller.flush();
+    if let Some(sampler) = sampler {
+        let obs = controller.obs().expect("every scheme is instrumented");
+        let occupancy = controller.occupancy().unwrap_or_default();
+        sampler.finish(obs.registry(), occupancy).unwrap();
+    }
+}
+
+/// A series writer whose bytes stay readable after the sampler is done.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A sampler at `cadence` streaming into a fresh buffer.
+fn sampler(id: SchemeId, cadence: u64) -> (Sampler, SharedBuf) {
+    let buf = SharedBuf::default();
+    let config = SamplerConfig {
+        cadence,
+        ring_capacity: 8,
+    };
+    let sampler = Sampler::new("gcc", &id.label(), config).with_writer(Box::new(buf.clone()));
+    (sampler, buf)
 }
 
 #[test]
@@ -78,7 +133,7 @@ fn access_batch_matches_per_op_for_all_schemes() {
     for batch_ops in [1_024usize, 7_000, 64_000] {
         for id in SchemeId::default_suite() {
             let mut reference = build(id);
-            replay_per_op(reference.as_mut(), &trace, WARMUP_OPS);
+            replay_per_op(reference.as_mut(), &trace, WARMUP_OPS, None);
 
             let mut batched = build(id);
             let mut batch = DecodedBatch::new(CacheGeometry::paper_baseline());
@@ -112,35 +167,28 @@ fn replay_helper_matches_per_op_for_all_schemes() {
     let trace = materialized();
     for id in SchemeId::default_suite() {
         let mut reference = build(id);
-        replay_per_op(reference.as_mut(), &trace, WARMUP_OPS);
+        replay_per_op(reference.as_mut(), &trace, WARMUP_OPS, None);
 
-        // Whole-trace invocation, as `run_scheme` performs it.
+        // The whole trace fed once, as a materialized replay does.
         let mut whole = build(id);
-        let mut batch = DecodedBatch::new(CacheGeometry::paper_baseline());
-        replay_ops_batched(
-            whole.as_mut(),
-            trace.ops(),
-            0,
-            WARMUP_OPS as u64,
-            &mut batch,
-        );
-        whole.flush();
+        let mut replay = Replay::new(whole.as_mut(), WARMUP_OPS, None);
+        replay.feed(trace.ops());
+        replay.finish();
         assert_eq!(
             snapshot(reference.as_ref(), &trace),
             snapshot(whole.as_ref(), &trace),
             "scheme {id}: whole-trace batched replay diverged"
         );
 
-        // Chunked invocation with running base indices, as the streamed
-        // runner performs it — 7_000 keeps the warm-up boundary inside
-        // the first chunk and off every 8_192-op sub-batch seam.
+        // Fed in slices, as a streamed replay does — 7_000 keeps the
+        // warm-up boundary inside the first slice and off every
+        // 8_192-op sub-batch seam.
         let mut chunked = build(id);
-        let mut index = 0u64;
+        let mut replay = Replay::new(chunked.as_mut(), WARMUP_OPS, None);
         for sub in trace.ops().chunks(7_000) {
-            replay_ops_batched(chunked.as_mut(), sub, index, WARMUP_OPS as u64, &mut batch);
-            index += sub.len() as u64;
+            replay.feed(sub);
         }
-        chunked.flush();
+        replay.finish();
         assert_eq!(
             snapshot(reference.as_ref(), &trace),
             snapshot(chunked.as_ref(), &trace),
@@ -154,22 +202,49 @@ fn warmup_boundary_cases_match_per_op() {
     let trace = materialized();
     // 0 resets before the very first op; TOTAL_OPS is past the last op
     // and must never reset; 8_192 lands exactly on a sub-batch seam of
-    // the replay helper.
-    for warmup in [0usize, 8_192, TOTAL_OPS] {
-        for id in SchemeId::default_suite() {
-            let mut reference = build(id);
-            replay_per_op(reference.as_mut(), &trace, warmup);
+    // `Replay::feed`. Sampled, 3_000 is on a window boundary at cadences 1
+    // and 1_000, and 8_192 at cadences 1 and 8_192; 65_536 is longer
+    // than the trace, so only the final partial window is emitted.
+    for warmup in [0usize, WARMUP_OPS, 8_192, TOTAL_OPS] {
+        for cadence in [None, Some(1), Some(1_000), Some(8_192), Some(65_536)] {
+            for id in SchemeId::default_suite() {
+                let mut reference = build(id);
+                let mut reference_sampler = cadence.map(|c| sampler(id, c));
+                replay_per_op(
+                    reference.as_mut(),
+                    &trace,
+                    warmup,
+                    reference_sampler.as_mut().map(|(s, _)| s),
+                );
 
-            let mut batched = build(id);
-            let mut batch = DecodedBatch::new(CacheGeometry::paper_baseline());
-            replay_ops_batched(batched.as_mut(), trace.ops(), 0, warmup as u64, &mut batch);
-            batched.flush();
+                let mut batched = build(id);
+                let mut batched_sampler = cadence.map(|c| sampler(id, c));
+                let mut replay = Replay::new(
+                    batched.as_mut(),
+                    warmup,
+                    batched_sampler.as_mut().map(|(s, _)| s),
+                );
+                replay.feed(trace.ops());
+                let result = replay.finish();
 
-            assert_eq!(
-                snapshot(reference.as_ref(), &trace),
-                snapshot(batched.as_ref(), &trace),
-                "scheme {id} diverged at warmup={warmup}"
-            );
+                let case = format!("scheme {id}, warmup={warmup}, cadence={cadence:?}");
+                assert_eq!(
+                    snapshot(reference.as_ref(), &trace),
+                    snapshot(batched.as_ref(), &trace),
+                    "{case}"
+                );
+                if let (Some((per_op, want)), Some((_, got))) = (reference_sampler, batched_sampler)
+                {
+                    let want = want.0.lock().unwrap().clone();
+                    assert!(!want.is_empty(), "{case}: no windows emitted");
+                    assert!(
+                        want == *got.0.lock().unwrap(),
+                        "{case}: series bytes diverged"
+                    );
+                    let last = result.series.last().expect("ring holds the tail");
+                    assert_eq!(per_op.emitted(), last.window + 1, "{case}");
+                }
+            }
         }
     }
 }

@@ -15,9 +15,7 @@ use cache8t::core::{
     CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
     WgController, WgOptions, WgRbController,
 };
-use cache8t::exec::experiment::{
-    run_scheme, run_scheme_sampled, run_scheme_streamed, run_scheme_streamed_sampled,
-};
+use cache8t::exec::{OpSource, Replay, SchemeResult};
 use cache8t::obs::sampler::{Sampler, SamplerConfig};
 use cache8t::sim::{CacheGeometry, ReplacementKind};
 use cache8t::trace::{ChunkedGenerator, ProfiledGenerator, Trace, TraceGenerator};
@@ -51,6 +49,28 @@ fn chunks(chunk_ops: usize) -> ChunkedGenerator<ProfiledGenerator> {
     ChunkedGenerator::new(generator(17), chunk_ops, TOTAL_OPS)
 }
 
+/// The materialized replay: the whole trace fed to `Replay` at once.
+fn replay_trace(
+    controller: &mut dyn Controller,
+    trace: &Trace,
+    warmup_ops: usize,
+    sampler: Option<&mut Sampler>,
+) -> SchemeResult {
+    let mut replay = Replay::new(controller, warmup_ops, sampler);
+    replay.feed(trace.ops());
+    replay.finish()
+}
+
+/// The streamed replay: the same ops fed to `Replay` chunk by chunk.
+fn replay_chunks(
+    controller: &mut dyn Controller,
+    chunk_ops: usize,
+    warmup_ops: usize,
+    sampler: Option<&mut Sampler>,
+) -> SchemeResult {
+    OpSource::Chunks(chunks(chunk_ops)).replay(Replay::new(controller, warmup_ops, sampler))
+}
+
 /// Everything a controller exposes after a replay, comparable.
 fn snapshot(controller: &dyn Controller) -> String {
     format!(
@@ -70,10 +90,10 @@ fn all_five_schemes_stream_bit_identically() {
     for chunk_ops in [1_024usize, 7_000, 64_000] {
         for id in SchemeId::default_suite() {
             let mut reference = build(id);
-            run_scheme(reference.as_mut(), &trace, WARMUP_OPS);
+            replay_trace(reference.as_mut(), &trace, WARMUP_OPS, None);
 
             let mut streamed = build(id);
-            run_scheme_streamed(streamed.as_mut(), chunks(chunk_ops), WARMUP_OPS);
+            replay_chunks(streamed.as_mut(), chunk_ops, WARMUP_OPS, None);
 
             assert_eq!(
                 snapshot(reference.as_ref()),
@@ -110,7 +130,7 @@ fn sampled_streams_emit_identical_series_for_all_schemes() {
             let mut sampler =
                 Sampler::new("gcc", &label, config).with_writer(Box::new(reference_buf.clone()));
             let mut controller = build(id);
-            run_scheme_sampled(controller.as_mut(), &trace, WARMUP_OPS, &mut sampler);
+            replay_trace(controller.as_mut(), &trace, WARMUP_OPS, Some(&mut sampler));
         }
         let reference = reference_buf.0.lock().unwrap().clone();
         assert!(!reference.is_empty(), "sampled replay must emit windows");
@@ -119,11 +139,11 @@ fn sampled_streams_emit_identical_series_for_all_schemes() {
             let mut sampler =
                 Sampler::new("gcc", &label, config).with_writer(Box::new(buf.clone()));
             let mut controller = build(id);
-            run_scheme_streamed_sampled(
+            replay_chunks(
                 controller.as_mut(),
-                chunks(chunk_ops),
+                chunk_ops,
                 WARMUP_OPS,
-                &mut sampler,
+                Some(&mut sampler),
             );
             let streamed = buf.0.lock().unwrap().clone();
             assert_eq!(
