@@ -11,9 +11,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use cache8t_core::{
-    Controller, ConventionalController, RmwController, WgController, WgRbController,
-};
+use cache8t_core::{Controller, RmwController, WgController};
 use cache8t_obs::{Component, EventKind, MetricRegistry, TraceEvent, TraceLevel, Tracer};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, Trace, TraceGenerator};
@@ -34,7 +32,7 @@ fn bench_controllers(c: &mut Criterion) {
     type Build = fn(CacheGeometry) -> Box<dyn Controller>;
     let make: Vec<(&str, Build)> = vec![
         ("6t", |g| {
-            Box::new(ConventionalController::new(g, ReplacementKind::Lru))
+            Box::new(RmwController::conventional(g, ReplacementKind::Lru))
         }),
         ("rmw", |g| {
             Box::new(RmwController::new(g, ReplacementKind::Lru))
@@ -43,7 +41,7 @@ fn bench_controllers(c: &mut Criterion) {
             Box::new(WgController::new(g, ReplacementKind::Lru))
         }),
         ("wg_rb", |g| {
-            Box::new(WgRbController::new(g, ReplacementKind::Lru))
+            Box::new(WgController::wg_rb(g, ReplacementKind::Lru))
         }),
     ];
     for (name, build) in make {

@@ -18,10 +18,7 @@
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_whole;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{
-    CoalescingController, Controller, ConventionalController, CountingPolicy, RmwController,
-    WgController, WgRbController,
-};
+use cache8t_core::{CoalescingController, Controller, CountingPolicy, RmwController, WgController};
 use cache8t_cpu::{PortTimingModel, TimingConfig};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
@@ -49,7 +46,7 @@ fn main() {
         ),
         (
             "word-granularity writes (Chang et al.)",
-            Box::new(move || Box::new(ConventionalController::new(geometry, ReplacementKind::Lru))),
+            Box::new(move || Box::new(RmwController::conventional(geometry, ReplacementKind::Lru))),
             1,
         ),
         (
@@ -80,7 +77,7 @@ fn main() {
         ),
         (
             "WG+RB (paper)",
-            Box::new(move || Box::new(WgRbController::new(geometry, ReplacementKind::Lru))),
+            Box::new(move || Box::new(WgController::wg_rb(geometry, ReplacementKind::Lru))),
             1,
         ),
     ];

@@ -10,7 +10,7 @@
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_whole;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{CountingPolicy, RmwController, WgController, WgRbController};
+use cache8t_core::{CountingPolicy, RmwController, WgController};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, MultiprogramMix, ProfiledGenerator, TraceGenerator};
 
@@ -50,7 +50,7 @@ fn main() {
         let lru = ReplacementKind::Lru;
         let rmw = replay_whole(&mut RmwController::new(geometry, lru), &trace).traffic;
         let wg = replay_whole(&mut WgController::new(geometry, lru), &trace).traffic;
-        let wgrb = replay_whole(&mut WgRbController::new(geometry, lru), &trace).traffic;
+        let wgrb = replay_whole(&mut WgController::wg_rb(geometry, lru), &trace).traffic;
         let wg_red = wg.reduction_vs(&rmw, CountingPolicy::DemandOnly);
         let wgrb_red = wgrb.reduction_vs(&rmw, CountingPolicy::DemandOnly);
         table.row(&[

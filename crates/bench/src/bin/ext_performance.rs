@@ -12,9 +12,7 @@
 
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{
-    Controller, ConventionalController, RmwController, WgController, WgRbController,
-};
+use cache8t_core::{Controller, RmwController, WgController};
 use cache8t_cpu::{PortTimingModel, TimingConfig, TimingReport};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
@@ -36,10 +34,10 @@ fn main() {
     for profile in profiles::spec2006() {
         let trace = ProfiledGenerator::new(profile.clone(), geometry, args.seed).collect(args.ops);
         let mut controllers: Vec<Box<dyn Controller>> = vec![
-            Box::new(ConventionalController::new(geometry, ReplacementKind::Lru)),
+            Box::new(RmwController::conventional(geometry, ReplacementKind::Lru)),
             Box::new(RmwController::new(geometry, ReplacementKind::Lru)),
             Box::new(WgController::new(geometry, ReplacementKind::Lru)),
-            Box::new(WgRbController::new(geometry, ReplacementKind::Lru)),
+            Box::new(WgController::wg_rb(geometry, ReplacementKind::Lru)),
         ];
         for (slot, controller) in totals.iter_mut().zip(controllers.iter_mut()) {
             slot.1.push(model.run(controller.as_mut(), &trace));

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_whole;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{CountingPolicy, RmwController, WgController, WgRbController};
+use cache8t_core::{CountingPolicy, RmwController, WgController};
 use cache8t_exec::{run_jobs, ExecOptions, JobOutcome, TraceStore};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{PairLocality, Trace, WorkloadProfile};
@@ -54,7 +54,7 @@ fn point(trace: &Trace, geometry: CacheGeometry) -> (f64, f64) {
     let lru = ReplacementKind::Lru;
     let rmw = replay_whole(&mut RmwController::new(geometry, lru), trace).traffic;
     let wg = replay_whole(&mut WgController::new(geometry, lru), trace).traffic;
-    let wgrb = replay_whole(&mut WgRbController::new(geometry, lru), trace).traffic;
+    let wgrb = replay_whole(&mut WgController::wg_rb(geometry, lru), trace).traffic;
     (
         wg.reduction_vs(&rmw, CountingPolicy::DemandOnly),
         wgrb.reduction_vs(&rmw, CountingPolicy::DemandOnly),

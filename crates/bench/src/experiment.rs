@@ -24,9 +24,9 @@ use crate::cli::CommonArgs;
 /// driver, with no warm-up reset — the extension studies' whole-trace
 /// measurement.
 pub fn replay_whole(controller: &mut dyn Controller, trace: &Trace) -> SchemeResult {
-    let mut replay = Replay::new(controller, trace.len(), None);
+    let mut replay = Replay::new(controller, trace.len(), &mut []);
     replay.feed(trace.ops());
-    replay.finish()
+    replay.finish().swap_remove(0)
 }
 
 /// Builds the `--metrics-out` document: one entry per benchmark holding

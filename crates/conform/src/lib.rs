@@ -34,8 +34,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use cache8t_core::{
-    CoalescingController, Controller, ConventionalController, RmwController, WgController, WgFault,
-    WgRbController,
+    CoalescingController, Controller, RmwController, WgController, WgFault, WgOptions,
 };
 use cache8t_obs::{Component, EventKind, TraceEvent, TraceLevel, Tracer};
 use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
@@ -298,12 +297,12 @@ impl ConformReport {
 }
 
 /// A concrete controller, wrapped so WG internals stay inspectable
-/// (a `Box<dyn Controller>` would hide `buffer_snapshots`).
+/// (a `Box<dyn Controller>` would hide `buffer_views`).
 enum Backend {
-    SixT(ConventionalController),
-    Rmw(RmwController),
-    Wg(WgController),
-    WgRb(WgRbController),
+    /// 6T or RMW.
+    Array(RmwController),
+    /// WG or WG+RB.
+    Grouping(WgController),
     Coalesce(CoalescingController),
 }
 
@@ -311,19 +310,16 @@ impl Backend {
     fn build(id: SchemeId, config: &ConformConfig) -> Backend {
         let g = config.geometry;
         let r = config.replacement;
+        let grouping = |options| {
+            let mut c = WgController::with_options(g, r, options);
+            c.inject_fault(config.wg_fault);
+            Backend::Grouping(c)
+        };
         match id {
-            SchemeId::SixT => Backend::SixT(ConventionalController::new(g, r)),
-            SchemeId::Rmw => Backend::Rmw(RmwController::new(g, r)),
-            SchemeId::Wg => {
-                let mut c = WgController::new(g, r);
-                c.inject_fault(config.wg_fault);
-                Backend::Wg(c)
-            }
-            SchemeId::WgRb => {
-                let mut c = WgRbController::new(g, r);
-                c.inject_fault(config.wg_fault);
-                Backend::WgRb(c)
-            }
+            SchemeId::SixT => Backend::Array(RmwController::conventional(g, r)),
+            SchemeId::Rmw => Backend::Array(RmwController::new(g, r)),
+            SchemeId::Wg => grouping(WgOptions::wg()),
+            SchemeId::WgRb => grouping(WgOptions::wg_rb()),
             SchemeId::Coalesce(entries) => {
                 Backend::Coalesce(CoalescingController::new(g, r, entries))
             }
@@ -332,20 +328,16 @@ impl Backend {
 
     fn ctrl(&self) -> &dyn Controller {
         match self {
-            Backend::SixT(c) => c,
-            Backend::Rmw(c) => c,
-            Backend::Wg(c) => c,
-            Backend::WgRb(c) => c,
+            Backend::Array(c) => c,
+            Backend::Grouping(c) => c,
             Backend::Coalesce(c) => c,
         }
     }
 
     fn ctrl_mut(&mut self) -> &mut dyn Controller {
         match self {
-            Backend::SixT(c) => c,
-            Backend::Rmw(c) => c,
-            Backend::Wg(c) => c,
-            Backend::WgRb(c) => c,
+            Backend::Array(c) => c,
+            Backend::Grouping(c) => c,
             Backend::Coalesce(c) => c,
         }
     }
@@ -353,8 +345,7 @@ impl Backend {
     /// The WG view, when this backend has Set-Buffers to inspect.
     fn wg_view(&self) -> Option<&WgController> {
         match self {
-            Backend::Wg(c) => Some(c),
-            Backend::WgRb(c) => Some(c.as_wg()),
+            Backend::Grouping(c) => Some(c),
             _ => None,
         }
     }

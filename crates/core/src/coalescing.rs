@@ -16,7 +16,7 @@ use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
 use crate::obs::StackObs;
-use crate::ArrayTraffic;
+use crate::Ledger;
 
 /// One write-buffer entry: a block base, the coalesced words, and their
 /// validity.
@@ -67,7 +67,7 @@ impl Entry {
 /// ```
 pub struct CoalescingController {
     backend: CacheBackend,
-    traffic: ArrayTraffic,
+    ledger: Ledger,
     capacity: usize,
     metrics: CoalesceMetrics,
     /// FIFO order: oldest first.
@@ -119,12 +119,13 @@ impl CoalescingController {
     /// # Panics
     ///
     /// Panics if `entries == 0`.
-    pub fn from_backend(mut backend: CacheBackend, entries: usize) -> Self {
+    pub fn from_backend(backend: CacheBackend, entries: usize) -> Self {
         assert!(entries >= 1, "the write buffer needs at least one entry");
-        let metrics = CoalesceMetrics::register(backend.obs_mut());
+        let mut ledger = Ledger::new("CoalesceWB");
+        let metrics = CoalesceMetrics::register(&mut ledger.obs);
         CoalescingController {
             backend,
-            traffic: ArrayTraffic::new(),
+            ledger,
             capacity: entries,
             metrics,
             entries: Vec::with_capacity(entries),
@@ -167,11 +168,11 @@ impl CoalescingController {
         let g = self.geometry();
         let m = self.metrics;
         let coalesced = entry.valid.iter().filter(|v| **v).count() as u64;
-        self.backend.obs_mut().inc(m.deposits);
-        self.backend.obs_mut().observe(m.group_len, coalesced);
+        self.ledger.obs.inc(m.deposits);
+        self.ledger.obs.observe(m.group_len, coalesced);
         let cost = if let Some(way) = self.backend.cache().probe(entry.base) {
             // RMW read phase: latch the row.
-            self.traffic.rmw_read_phases += 1;
+            self.ledger.traffic.rmw_read_phases += 1;
             let mut cost = AccessCost {
                 row_reads: 1,
                 row_writes: 0,
@@ -189,10 +190,10 @@ impl CoalescingController {
                 self.backend
                     .cache_mut()
                     .update_block(set, way, &entry.words, dirty);
-                self.traffic.demand_writes += 1;
-                self.traffic.rmw_ops += 1;
+                self.ledger.traffic.demand_writes += 1;
+                self.ledger.traffic.rmw_ops += 1;
                 cost.row_writes = 1;
-                self.backend.obs_mut().emit(
+                self.ledger.obs.emit(
                     Component::Coalesce,
                     EventKind::GroupFlush,
                     entry.base.raw(),
@@ -201,9 +202,9 @@ impl CoalescingController {
             } else {
                 // Every coalesced word matched the stored data: skip the write
                 // phase (the buffer's own silent-store elision).
-                self.traffic.silent_writebacks_elided += 1;
-                self.backend.obs_mut().inc(m.silent_suppressed);
-                self.backend.obs_mut().emit(
+                self.ledger.traffic.silent_writebacks_elided += 1;
+                self.ledger.obs.inc(m.silent_suppressed);
+                self.ledger.obs.emit(
                     Component::Coalesce,
                     EventKind::SilentElide,
                     entry.base.raw(),
@@ -219,7 +220,7 @@ impl CoalescingController {
             // state relative to the other schemes.
             self.backend
                 .merge_words_below(entry.base, &entry.words, &entry.valid);
-            self.traffic.eviction_writebacks += 1;
+            self.ledger.traffic.eviction_writebacks += 1;
             AccessCost::default()
         };
         // Recycle the spent entry: reset it to the freshly-allocated
@@ -247,18 +248,13 @@ impl CoalescingController {
                 if self.entries[pos].valid[word] {
                     let probed = self.backend.cache().find_in_set(set, tag);
                     let residency = self.backend.ensure_resident_probed(d.addr, probed);
-                    if residency.filled {
-                        self.traffic.line_fills += 1;
-                    }
-                    if residency.dirty_eviction {
-                        self.traffic.eviction_writebacks += 1;
-                    }
+                    self.ledger.record_residency(&residency, true);
                     let value = self.entries[pos].words[word];
                     self.backend.cache_mut().touch_at(set, residency.way);
-                    self.backend.record_read(residency.hit);
-                    self.traffic.bypassed_reads += 1;
+                    self.ledger.record_read(residency.hit, true);
+                    self.ledger.traffic.bypassed_reads += 1;
                     let m = self.metrics;
-                    self.backend.obs_mut().inc(m.forwarded_reads);
+                    self.ledger.obs.inc(m.forwarded_reads);
                     return AccessResponse {
                         value,
                         hit: residency.hit,
@@ -272,18 +268,13 @@ impl CoalescingController {
             }
             let probed = self.backend.cache().find_in_set(set, tag);
             let residency = self.backend.ensure_resident_probed(d.addr, probed);
-            if residency.filled {
-                self.traffic.line_fills += 1;
-            }
-            if residency.dirty_eviction {
-                self.traffic.eviction_writebacks += 1;
-            }
+            self.ledger.record_residency(&residency, true);
             let value = self
                 .backend
                 .cache_mut()
                 .read_word_at(set, residency.way, word);
-            self.backend.record_read(residency.hit);
-            self.traffic.demand_reads += 1;
+            self.ledger.record_read(residency.hit, true);
+            self.ledger.traffic.demand_reads += 1;
             return AccessResponse {
                 value,
                 hit: residency.hit,
@@ -299,12 +290,7 @@ impl CoalescingController {
         // (write-allocate), then coalesce.
         let probed = self.backend.cache().find_in_set(set, tag);
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
+        self.ledger.record_residency(&residency, true);
         // Silence for the request statistics: against the architecturally
         // visible value (buffered word if coalesced, else the line — the
         // block is resident after `ensure_resident`, so the line's word
@@ -316,7 +302,8 @@ impl CoalescingController {
             Some(pos) if self.entries[pos].valid[word] => self.entries[pos].words[word],
             _ => self.backend.cache().peek_word_at(set, residency.way, word),
         };
-        self.backend.record_write(residency.hit, current == d.value);
+        self.ledger
+            .record_write(residency.hit, current == d.value, true);
         self.backend.cache_mut().touch_at(set, residency.way);
 
         let mut cost = AccessCost {
@@ -328,7 +315,7 @@ impl CoalescingController {
             Some(pos) => {
                 self.entries[pos].words[word] = d.value;
                 self.entries[pos].valid[word] = true;
-                self.traffic.grouped_writes += 1;
+                self.ledger.traffic.grouped_writes += 1;
             }
             None => {
                 if self.entries.len() >= self.capacity {
@@ -378,16 +365,8 @@ impl Controller for CoalescingController {
         }
     }
 
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
-    }
-
     fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
+        self.ledger.reset();
         self.backend.reset_stats();
     }
 
@@ -397,10 +376,6 @@ impl Controller for CoalescingController {
 
     fn memory(&self) -> &MainMemory {
         self.backend.memory()
-    }
-
-    fn name(&self) -> &'static str {
-        "CoalesceWB"
     }
 
     fn peek_word(&self, addr: Address) -> u64 {
@@ -415,15 +390,17 @@ impl Controller for CoalescingController {
         self.backend.peek_word(addr)
     }
 
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
+    fn ledger(&self, i: usize) -> &Ledger {
+        assert_eq!(i, 0, "one ledger");
+        &self.ledger
     }
 
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
+    fn ledger_mut(&mut self, i: usize) -> &mut Ledger {
+        assert_eq!(i, 0, "one ledger");
+        &mut self.ledger
     }
 
-    fn occupancy(&self) -> Option<Vec<u64>> {
+    fn occupancy(&self, _ledger: usize) -> Option<Vec<u64>> {
         let words = self.geometry().block_words();
         let mut histogram = vec![0u64; words + 1];
         for entry in &self.entries {
@@ -439,7 +416,7 @@ impl fmt::Debug for CoalescingController {
         f.debug_struct("CoalescingController")
             .field("capacity", &self.capacity)
             .field("occupied", &self.entries.len())
-            .field("traffic", &self.traffic)
+            .field("ledger", &self.ledger)
             .finish_non_exhaustive()
     }
 }
@@ -548,7 +525,7 @@ mod tests {
     fn occupancy_histogram_counts_valid_words_per_entry() {
         let mut c = controller(4);
         assert_eq!(
-            c.occupancy(),
+            c.occupancy(0),
             Some(vec![0; 5]),
             "4-word blocks: levels 0..=4"
         );
@@ -557,9 +534,9 @@ mod tests {
         c.access(&MemOp::write(a.offset(8), 2));
         c.access(&MemOp::write(Address::new(0x80), 3));
         // One entry holds 2 coalesced words, another holds 1.
-        assert_eq!(c.occupancy(), Some(vec![0, 1, 1, 0, 0]));
+        assert_eq!(c.occupancy(0), Some(vec![0, 1, 1, 0, 0]));
         c.flush();
-        assert_eq!(c.occupancy(), Some(vec![0; 5]));
+        assert_eq!(c.occupancy(0), Some(vec![0; 5]));
     }
 
     #[test]

@@ -4,12 +4,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use cache8t_obs::{Component, EventKind};
 use cache8t_sim::{Address, CacheGeometry, CacheStats, DataCache, MainMemory, ReplacementKind};
 use cache8t_trace::{DecodedBatch, MemOp};
 
 use crate::obs::StackObs;
-use crate::{ArrayTraffic, CountingPolicy};
+use crate::{ArrayTraffic, Ledger};
 
 /// The array cost of one serviced request, for timing models.
 ///
@@ -55,25 +54,25 @@ pub struct AccessResponse {
 /// many array operations* each request costs. That invariant is what makes
 /// the traffic comparison of Figures 9–11 meaningful, and it is enforced by
 /// the cross-controller equivalence tests in this crate.
+///
+/// It also lets one functional replay serve several schemes: a controller
+/// keeps an ordered list of [`Ledger`]s, one per scheme it accounts. A
+/// standalone scheme has one ledger; a *family* (see
+/// [`RmwController::family`](crate::RmwController::family) and
+/// [`WgController::family`](crate::WgController::family)) has one per
+/// member. The single-scheme accessors (`name` aside) report ledger 0.
 pub trait Controller {
-    /// Services one request.
+    /// Services one request. For a family, the returned cost is ledger
+    /// 0's.
     fn access(&mut self, op: &MemOp) -> AccessResponse;
 
     /// Writes back any buffered state so the cache/memory image is
     /// architecturally current. Idempotent.
     fn flush(&mut self);
 
-    /// The traffic ledger.
-    fn traffic(&self) -> &ArrayTraffic;
-
-    /// Request-level hit/miss statistics, maintained identically by every
-    /// controller (unlike [`DataCache::stats`], which only sees the
-    /// requests that reach the array).
-    fn stats(&self) -> &CacheStats;
-
-    /// Resets the traffic ledger and request statistics, keeping cache and
-    /// buffer contents (used after warm-up, mirroring the paper's 1 B
-    /// warm-up instructions).
+    /// Resets every ledger (traffic, request statistics, observability
+    /// bundle), keeping cache and buffer contents (used after warm-up,
+    /// mirroring the paper's 1 B warm-up instructions).
     fn reset_counters(&mut self);
 
     /// The underlying functional cache.
@@ -82,35 +81,77 @@ pub trait Controller {
     /// The backing memory image.
     fn memory(&self) -> &MainMemory;
 
-    /// Short scheme name for reports (e.g. `"RMW"`, `"WG+RB"`).
-    fn name(&self) -> &'static str;
-
     /// The architecturally current value of the aligned word at `addr`,
     /// looking through any buffers, the cache, and memory.
     fn peek_word(&self, addr: Address) -> u64;
 
-    /// Total array activations so far under the paper's counting.
+    /// Number of scheme ledgers this controller keeps.
+    fn ledger_count(&self) -> usize {
+        1
+    }
+
+    /// Brings every ledger's counts up to date. A family counts what its
+    /// members share (request statistics, the common metrics, line fills,
+    /// …) once, in ledger 0; the other ledgers copy those counts here.
+    /// [`flush`](Controller::flush) settles too, so a family's ledgers
+    /// other than the first are current after either. A no-op for a
+    /// single ledger.
+    fn settle(&mut self) {}
+
+    /// Ledger `i`, in family order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= ledger_count()`.
+    fn ledger(&self, i: usize) -> &Ledger;
+
+    /// Mutable access to ledger `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= ledger_count()`.
+    fn ledger_mut(&mut self, i: usize) -> &mut Ledger;
+
+    /// Short name for reports and spans: the scheme name (e.g. `"RMW"`,
+    /// `"WG+RB"`), or a family's label (e.g. `"6T/RMW"`).
+    fn name(&self) -> &'static str {
+        self.ledger(0).name()
+    }
+
+    /// Ledger 0's traffic.
+    fn traffic(&self) -> &ArrayTraffic {
+        self.ledger(0).traffic()
+    }
+
+    /// Ledger 0's request-level hit/miss statistics, maintained
+    /// identically by every controller (unlike [`DataCache::stats`],
+    /// which only sees the requests that reach the array).
+    fn stats(&self) -> &CacheStats {
+        self.ledger(0).stats()
+    }
+
+    /// Ledger 0's array activations so far under the paper's counting.
     fn array_accesses(&self) -> u64 {
-        self.traffic().total(CountingPolicy::DemandOnly)
+        self.ledger(0).array_accesses()
     }
 
-    /// The stack's observability bundle (metric registry + event
-    /// tracer), when the controller is instrumented.
+    /// Ledger 0's observability bundle (metric registry + event tracer).
     fn obs(&self) -> Option<&StackObs> {
-        None
+        Some(self.ledger(0).obs())
     }
 
-    /// Mutable access to the observability bundle.
+    /// Mutable access to ledger 0's observability bundle.
     fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        None
+        Some(self.ledger_mut(0).obs_mut())
     }
 
-    /// Instantaneous write-buffer occupancy for the telemetry sampler:
-    /// index = occupancy level of a live buffer (modified ways of a WG
-    /// Set-Buffer, valid words of a coalescing entry), value = buffers
-    /// at that level. `None` for schemes without write buffers (the
-    /// sampler records an empty histogram).
-    fn occupancy(&self) -> Option<Vec<u64>> {
+    /// Instantaneous write-buffer occupancy as a ledger sees it,
+    /// for the telemetry sampler: index = occupancy level of a live
+    /// buffer (modified ways of a WG Set-Buffer, valid words of a
+    /// coalescing entry), value = buffers at that level. `None` for
+    /// schemes without write buffers (the sampler records an empty
+    /// histogram).
+    fn occupancy(&self, _ledger: usize) -> Option<Vec<u64>> {
         None
     }
 
@@ -142,14 +183,13 @@ pub trait Controller {
 /// bit-identical with or without an L2 (`tests/hierarchy.rs` asserts
 /// this).
 ///
-/// `CacheBackend` deliberately performs *no* array-traffic accounting — the
-/// controllers decide what each functional step costs on their array.
+/// `CacheBackend` deliberately performs *no* accounting — the
+/// controllers' [`Ledger`]s decide what each functional step costs, so
+/// one backend can serve several schemes' ledgers at once.
 pub struct CacheBackend {
     cache: DataCache,
     l2: Option<DataCache>,
     memory: MainMemory,
-    requests: CacheStats,
-    obs: StackObs,
     /// Reusable one-block staging buffer for fills and merges.
     scratch: Box<[u64]>,
     /// Reusable buffer receiving L1 victims from `fill_into`.
@@ -165,8 +205,6 @@ impl CacheBackend {
             cache: DataCache::new(geometry, replacement),
             l2: None,
             memory: MainMemory::new(geometry.block_bytes()),
-            requests: CacheStats::new(),
-            obs: StackObs::from_env(),
             scratch: vec![0; geometry.block_words()].into_boxed_slice(),
             victim: Vec::new(),
             l2_victim: Vec::new(),
@@ -198,22 +236,10 @@ impl CacheBackend {
             cache: DataCache::new(geometry, replacement),
             l2: Some(DataCache::new(l2_geometry, replacement)),
             memory: MainMemory::new(geometry.block_bytes()),
-            requests: CacheStats::new(),
-            obs: StackObs::from_env(),
             scratch: vec![0; geometry.block_words()].into_boxed_slice(),
             victim: Vec::new(),
             l2_victim: Vec::new(),
         }
-    }
-
-    /// The stack's observability bundle.
-    pub fn obs(&self) -> &StackObs {
-        &self.obs
-    }
-
-    /// Mutable access to the observability bundle.
-    pub fn obs_mut(&mut self) -> &mut StackObs {
-        &mut self.obs
     }
 
     /// The second-level cache, if the hierarchy has one.
@@ -308,51 +334,9 @@ impl CacheBackend {
         );
     }
 
-    /// Records a serviced read request.
-    #[inline]
-    pub fn record_read(&mut self, hit: bool) {
-        if hit {
-            self.requests.read_hits += 1;
-        } else {
-            self.requests.read_misses += 1;
-        }
-        let id = self.obs.m_reads;
-        self.obs.inc(id);
-        self.obs
-            .emit_verbose(Component::Cache, EventKind::Access, 0, 0);
-        self.obs.advance_tick();
-    }
-
-    /// Records a serviced write request.
-    #[inline]
-    pub fn record_write(&mut self, hit: bool, silent: bool) {
-        if hit {
-            self.requests.write_hits += 1;
-        } else {
-            self.requests.write_misses += 1;
-        }
-        if silent {
-            self.requests.silent_word_writes += 1;
-        }
-        let id = self.obs.m_writes;
-        self.obs.inc(id);
-        self.obs
-            .emit_verbose(Component::Cache, EventKind::Access, 0, 1);
-        self.obs.advance_tick();
-    }
-
-    /// Request-level statistics (one entry per CPU request, regardless of
-    /// how the controller serviced it).
-    pub fn request_stats(&self) -> &CacheStats {
-        &self.requests
-    }
-
-    /// Zeroes the request statistics, the cache's internal statistics,
-    /// and the observability bundle (metric values, events, tick).
+    /// Zeroes the cache's internal statistics.
     pub fn reset_stats(&mut self) {
-        self.requests = CacheStats::new();
         self.cache.reset_stats();
-        self.obs.reset();
     }
 
     /// The functional cache.
@@ -370,11 +354,6 @@ impl CacheBackend {
         &self.memory
     }
 
-    /// Mutable access to the backing memory (write-around paths).
-    pub fn memory_mut(&mut self) -> &mut MainMemory {
-        &mut self.memory
-    }
-
     /// The cache's hit/miss statistics.
     pub fn stats(&self) -> &CacheStats {
         self.cache.stats()
@@ -384,9 +363,9 @@ impl CacheBackend {
     /// (write-allocate for both reads and writes, as in the paper's L1
     /// model).
     ///
-    /// Returns `(hit, filled)` where `filled` reports whether a line fill
-    /// happened and whether it evicted a dirty victim — the controller
-    /// translates those into traffic.
+    /// The outcome reports whether a line fill happened and whether it
+    /// evicted a dirty victim — the ledgers translate those into traffic
+    /// and telemetry.
     pub fn ensure_resident(&mut self, addr: Address) -> ResidencyOutcome {
         let probed = self.cache.probe(addr);
         self.ensure_resident_probed(addr, probed)
@@ -410,6 +389,7 @@ impl CacheBackend {
                 filled: false,
                 dirty_eviction: false,
                 way,
+                fill: None,
             };
         }
         self.fill_on_miss(addr)
@@ -442,13 +422,8 @@ impl CacheBackend {
             );
             self.cache.fill_into(base, &self.scratch, &mut self.victim)
         };
-        let id = self.obs.m_line_fills;
-        self.obs.inc(id);
-        self.obs.record_set_heat(heat_bucket);
-        self.obs
-            .emit(Component::Cache, EventKind::LineFill, base.raw(), words);
         let mut dirty_eviction = false;
-        if let Some(victim) = slot.evicted {
+        let victim = slot.evicted.map(|victim| {
             if victim.dirty {
                 Self::deposit_below(
                     &mut self.l2,
@@ -458,23 +433,20 @@ impl CacheBackend {
                     &self.victim,
                 );
                 dirty_eviction = true;
-                let id = self.obs.m_dirty_evictions;
-                self.obs.inc(id);
             }
-            let id = self.obs.m_evictions;
-            self.obs.inc(id);
-            self.obs.emit(
-                Component::Cache,
-                EventKind::Eviction,
-                victim.base.raw(),
-                u64::from(dirty_eviction),
-            );
-        }
+            victim.base
+        });
         ResidencyOutcome {
             hit: false,
             filled: true,
             dirty_eviction,
             way: slot.way,
+            fill: Some(FillRecord {
+                base,
+                words,
+                heat_bucket,
+                victim,
+            }),
         }
     }
 
@@ -520,6 +492,22 @@ pub struct ResidencyOutcome {
     /// way the fill installed into). Callers use it to address the line
     /// directly instead of re-searching the set's tags.
     pub way: usize,
+    /// What the fill did, for the ledgers' telemetry; `None` on a hit.
+    pub fill: Option<FillRecord>,
+}
+
+/// The telemetry-relevant facts of one line fill.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillRecord {
+    /// Base address of the filled block.
+    pub base: Address,
+    /// Words the fill moved (one block).
+    pub words: u64,
+    /// The block's set-heat bucket (see
+    /// [`CacheGeometry::heat_bucket_of`]).
+    pub heat_bucket: usize,
+    /// Base address of the evicted victim, if the fill evicted a line.
+    pub victim: Option<Address>,
 }
 
 #[cfg(test)]

@@ -1,184 +1,56 @@
-//! The 6T-style conventional controller.
+//! The 6T-style conventional scheme: the 6T/RMW family controller with a
+//! single 6T ledger.
 
-use std::fmt;
+use cache8t_sim::{CacheGeometry, ReplacementKind};
 
-use cache8t_sim::{Address, CacheGeometry, DataCache, MainMemory, ReplacementKind};
-use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
+use crate::controller::CacheBackend;
+use crate::rmw::ArrayLedger;
+use crate::RmwController;
 
-use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
-use crate::obs::StackObs;
-use crate::ArrayTraffic;
-
-/// A conventional (6T-style) cache controller: one array access per
-/// request.
-///
-/// On a 6T array half-selected columns survive a write (they are biased as
-/// pseudo-reads), so a store is a single partial-row write — no RMW. This
-/// controller is the reference against which the paper quantifies RMW's
-/// traffic increase ("more than 32% on average, max 47%", §1): the
-/// `motivation_rmw_traffic` harness compares [`RmwController`] against it.
-///
-/// [`RmwController`]: crate::RmwController
-///
-/// # Example
-///
-/// ```
-/// use cache8t_core::{Controller, ConventionalController};
-/// use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
-/// use cache8t_trace::MemOp;
-///
-/// let mut c = ConventionalController::new(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
-/// c.access(&MemOp::write(Address::new(0x40), 7));
-/// c.access(&MemOp::read(Address::new(0x40)));
-/// assert_eq!(c.array_accesses(), 2); // one activation per request
-/// ```
-pub struct ConventionalController {
-    backend: CacheBackend,
-    traffic: ArrayTraffic,
-}
-
-impl ConventionalController {
-    /// Creates an empty conventional controller.
-    pub fn new(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
-        ConventionalController::from_backend(CacheBackend::new(geometry, replacement))
+impl RmwController {
+    /// A conventional (6T-style) cache controller: one array access per
+    /// request.
+    ///
+    /// On a 6T array half-selected columns survive a write (they are
+    /// biased as pseudo-reads), so a store is a single partial-row write —
+    /// no RMW. This is the reference against which the paper quantifies
+    /// RMW's traffic increase ("more than 32% on average, max 47%", §1):
+    /// the `motivation_rmw_traffic` harness compares
+    /// [`RmwController::new`] against it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cache8t_core::{Controller, RmwController};
+    /// use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
+    /// use cache8t_trace::MemOp;
+    ///
+    /// let mut c = RmwController::conventional(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
+    /// c.access(&MemOp::write(Address::new(0x40), 7));
+    /// c.access(&MemOp::read(Address::new(0x40)));
+    /// assert_eq!(c.array_accesses(), 2); // one activation per request
+    /// assert_eq!(c.name(), "6T");
+    /// ```
+    pub fn conventional(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
+        RmwController::conventional_from_backend(CacheBackend::new(geometry, replacement))
     }
 
-    /// Creates a controller over an existing backend (e.g. one built with
-    /// [`CacheBackend::with_l2`]).
-    pub fn from_backend(backend: CacheBackend) -> Self {
-        ConventionalController {
-            backend,
-            traffic: ArrayTraffic::new(),
-        }
-    }
-
-    /// Services one request whose address decomposition is already known
-    /// — shared by [`access`](Controller::access) (which decodes inline)
-    /// and the batched path (which drains [`DecodedBatch`] column runs).
-    #[inline]
-    fn access_decoded(&mut self, d: DecodedOp) -> AccessResponse {
-        let probed = self.backend.cache().find_in_set(d.set, d.tag);
-        let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
-        let (value, cost) = if d.is_read() {
-            let value = self
-                .backend
-                .cache_mut()
-                .read_word_at(d.set, residency.way, d.word);
-            self.backend.record_read(residency.hit);
-            self.traffic.demand_reads += 1;
-            (
-                value,
-                AccessCost {
-                    row_reads: 1,
-                    row_writes: 0,
-                    buffer_hit: false,
-                },
-            )
-        } else {
-            let effect =
-                self.backend
-                    .cache_mut()
-                    .write_word_at(d.set, residency.way, d.word, d.value);
-            self.backend.record_write(residency.hit, effect.was_silent);
-            self.traffic.demand_writes += 1;
-            (
-                d.value,
-                AccessCost {
-                    row_reads: 0,
-                    row_writes: 1,
-                    buffer_hit: false,
-                },
-            )
-        };
-        AccessResponse {
-            value,
-            hit: residency.hit,
-            cost,
-        }
-    }
-}
-
-impl Controller for ConventionalController {
-    fn access(&mut self, op: &MemOp) -> AccessResponse {
-        let g = self.backend.cache().geometry();
-        self.access_decoded(DecodedOp::from_op(op, &g))
-    }
-
-    fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        assert_eq!(
-            batch.geometry(),
-            self.backend.cache().geometry(),
-            "batch decoded against a different geometry"
-        );
-        for d in batch.run(range) {
-            self.access_decoded(d);
-        }
-    }
-
-    fn flush(&mut self) {
-        // No buffered state.
-    }
-
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
-    }
-
-    fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
-        self.backend.reset_stats();
-    }
-
-    fn cache(&self) -> &DataCache {
-        self.backend.cache()
-    }
-
-    fn memory(&self) -> &MainMemory {
-        self.backend.memory()
-    }
-
-    fn name(&self) -> &'static str {
-        "6T"
-    }
-
-    fn peek_word(&self, addr: Address) -> u64 {
-        self.backend.peek_word(addr)
-    }
-
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
-    }
-}
-
-impl fmt::Debug for ConventionalController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConventionalController")
-            .field("traffic", &self.traffic)
-            .field("backend", &self.backend)
-            .finish()
+    /// [`conventional`](RmwController::conventional) over an existing
+    /// backend (e.g. one built with [`CacheBackend::with_l2`]).
+    pub fn conventional_from_backend(backend: CacheBackend) -> Self {
+        RmwController::with_ledgers(backend, [ArrayLedger::six_t()])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache8t_sim::AccessKind;
+    use crate::Controller;
+    use cache8t_sim::{AccessKind, Address};
+    use cache8t_trace::MemOp;
 
-    fn controller() -> ConventionalController {
-        ConventionalController::new(
+    fn controller() -> RmwController {
+        RmwController::conventional(
             CacheGeometry::new(1024, 2, 32).unwrap(),
             ReplacementKind::Lru,
         )

@@ -4,9 +4,9 @@
 //! Solutions for Caches Using 8T SRAM Cells"* (Farahani & Baniasadi, MICRO
 //! 2012), reimplemented from scratch:
 //!
-//! - [`ConventionalController`] — a 6T-style cache where a write is a
-//!   single array access (the reference the paper measures RMW's traffic
-//!   increase against);
+//! - [`RmwController::conventional`] — a 6T-style cache where a write is
+//!   a single array access (the reference the paper measures RMW's
+//!   traffic increase against);
 //! - [`RmwController`] — the 8T baseline: every write performs Morita et
 //!   al.'s read-modify-write, costing an extra row read (paper §2);
 //! - [`WgController`] — **Write Grouping** (paper §4.1): a Set-Buffer
@@ -14,7 +14,7 @@
 //!   controller; consecutive writes to the buffered set are grouped into
 //!   one eventual RMW, and a Dirty bit suppresses the write-back entirely
 //!   when every grouped write was silent;
-//! - [`WgRbController`] — **Write Grouping + Read Bypassing** (paper
+//! - [`WgController::wg_rb`] — **Write Grouping + Read Bypassing** (paper
 //!   §4.2): additionally serves reads that hit the Tag-Buffer straight from
 //!   the Set-Buffer, eliminating both the premature write-back and the
 //!   array read.
@@ -22,7 +22,11 @@
 //! All controllers implement [`Controller`], run against the same
 //! value-carrying cache + backing memory from `cache8t-sim`, and account
 //! SRAM-array traffic in an [`ArrayTraffic`] ledger — the quantity behind
-//! the paper's Figures 9–11. Functional correctness (every read returns the
+//! the paper's Figures 9–11. The accounting lives in per-scheme
+//! [`Ledger`]s apart from the functional core, so one replay can feed a
+//! whole *family* of functionally identical schemes
+//! ([`RmwController::family`]: 6T and RMW; [`WgController::family`]: WG
+//! and WG+RB). Functional correctness (every read returns the
 //! last value written) is enforced by [`Controller::peek_word`]-based
 //! oracle tests and property tests in this crate.
 //!
@@ -55,15 +59,18 @@
 mod coalescing;
 mod controller;
 mod conventional;
+mod ledger;
 mod obs;
 mod rmw;
 mod traffic;
 mod wg;
 
 pub use coalescing::CoalescingController;
-pub use controller::{AccessCost, AccessResponse, CacheBackend, Controller, ResidencyOutcome};
-pub use conventional::ConventionalController;
+pub use controller::{
+    AccessCost, AccessResponse, CacheBackend, Controller, FillRecord, ResidencyOutcome,
+};
+pub use ledger::Ledger;
 pub use obs::{StackObs, SET_HEAT_BUCKETS};
 pub use rmw::RmwController;
 pub use traffic::{ArrayTraffic, CountingPolicy};
-pub use wg::{WgBufferView, WgController, WgFault, WgOptions, WgRbController};
+pub use wg::{WgBufferView, WgController, WgFault, WgOptions};

@@ -1,11 +1,11 @@
-//! The per-controller-stack observability bundle.
+//! The per-scheme observability bundle.
 //!
-//! Every [`CacheBackend`](crate::CacheBackend) owns one [`StackObs`]: a
-//! metric registry, an event tracer, and the request tick that stamps
-//! events. Controllers register their scheme-specific metrics against
-//! it at construction time and emit events through it on structural
+//! Every [`Ledger`](crate::Ledger) owns one [`StackObs`]: a metric
+//! registry, an event tracer, and the request tick that stamps events.
+//! Controllers register their scheme-specific metrics against it at
+//! construction time and emit events through it on structural
 //! transitions (buffer fills, group flushes, RMW sequences, …); the
-//! backend itself accounts line fills and evictions.
+//! ledger itself accounts line fills and evictions.
 //!
 //! Metrics are always collected — they are plain `u64` adds on
 //! pre-resolved handles, cheap enough for release hot paths. Event
@@ -133,6 +133,28 @@ impl StackObs {
     pub fn emit_verbose(&mut self, component: Component, kind: EventKind, addr: u64, detail: u64) {
         self.tracer
             .emit_verbose(TraceEvent::new(self.tick, component, kind, addr, detail));
+    }
+
+    /// Copies the common metrics (every `ctrl.*`, `cache.*` and
+    /// `series.set_heat.*` counter) plus `counters` and `histograms` from
+    /// `primary`, a bundle with the same registrations.
+    pub(crate) fn mirror(
+        &mut self,
+        primary: &StackObs,
+        counters: &[CounterId],
+        histograms: &[HistogramId],
+    ) {
+        let common = [
+            self.m_reads,
+            self.m_writes,
+            self.m_line_fills,
+            self.m_evictions,
+            self.m_dirty_evictions,
+        ];
+        let registry = &mut self.registry;
+        registry.copy_from(&primary.registry, &common, &[]);
+        registry.copy_from(&primary.registry, &self.m_set_heat, &[]);
+        registry.copy_from(&primary.registry, counters, histograms);
     }
 
     /// Resets metric values, recorded events, and the tick, keeping

@@ -1,4 +1,4 @@
-//! The RMW baseline controller.
+//! The 6T/RMW family controller.
 
 use std::fmt;
 
@@ -6,21 +6,27 @@ use cache8t_obs::{Component, CounterId, EventKind, HistogramId};
 use cache8t_sim::{Address, CacheGeometry, DataCache, MainMemory, ReplacementKind};
 use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
 
-use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
+use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller, ResidencyOutcome};
 use crate::obs::StackObs;
-use crate::ArrayTraffic;
+use crate::Ledger;
 
 /// The 8T baseline: every write is a read-modify-write (paper §2).
 ///
 /// Bit interleaving makes a partial-row write unsafe on 8T cells, so Morita
 /// et al.'s RMW reads the addressed row into latches, merges the stored
 /// word, and writes the whole row back. Functionally this controller is
-/// identical to [`ConventionalController`]; it differs only in cost: each
+/// identical to the 6T [`conventional`](RmwController::conventional)
+/// controller; it differs only in cost: each
 /// store performs **two** row activations (one read + one write) and
 /// occupies the read port, which is exactly the inefficiency the paper's
 /// WG/WG+RB techniques attack.
 ///
-/// [`ConventionalController`]: crate::ConventionalController
+/// Because the two schemes differ only in cost, this is also the 6T/RMW
+/// *family* controller: one functional cache under `N` ledgers, each
+/// accounting either scheme. [`RmwController::new`] keeps one RMW ledger,
+/// [`RmwController::conventional`] one 6T ledger, and
+/// [`RmwController::family`] both, so a single replay yields the 6T and
+/// RMW results together.
 ///
 /// # Example
 ///
@@ -34,16 +40,31 @@ use crate::ArrayTraffic;
 /// assert_eq!(c.array_accesses(), 2); // row read + row write
 /// assert_eq!(c.traffic().rmw_ops, 1);
 /// ```
-pub struct RmwController {
+pub struct RmwController<const N: usize = 1> {
     backend: CacheBackend,
-    traffic: ArrayTraffic,
+    ledgers: [ArrayLedger; N],
+}
+
+/// One 6T or RMW ledger of the family.
+#[derive(Debug)]
+pub(crate) struct ArrayLedger {
+    ledger: Ledger,
+    /// RMW write-burst tracking; `None` on the 6T ledger, whose store is
+    /// a single partial-row write.
+    rmw: Option<RmwBurst>,
+}
+
+/// The in-flight run of consecutive same-row RMW writes, and the
+/// RMW-specific metric handles.
+#[derive(Debug)]
+struct RmwBurst {
     metrics: RmwMetrics,
     /// Row (set index) of the in-flight write burst, if any.
-    burst_row: Option<u64>,
+    row: Option<u64>,
     /// Consecutive same-row RMW writes in the in-flight burst.
-    burst_len: u64,
+    len: u64,
     /// Address of the burst's first write (stamped on the burst event).
-    burst_addr: u64,
+    addr: u64,
 }
 
 /// Handles of the RMW-specific metrics.
@@ -72,6 +93,107 @@ impl RmwMetrics {
     }
 }
 
+impl RmwBurst {
+    /// Closes the in-flight write burst: one `rmw.sequences` count, one
+    /// `rmw.burst` observation, one `RmwSequence` event.
+    fn close(&mut self, obs: &mut StackObs) {
+        if self.len == 0 {
+            return;
+        }
+        obs.inc(self.metrics.sequences);
+        obs.observe(self.metrics.burst, self.len);
+        obs.emit(Component::Rmw, EventKind::RmwSequence, self.addr, self.len);
+        self.row = None;
+        self.len = 0;
+    }
+
+    /// Accounts one RMW write to `row`, closing the burst it breaks.
+    fn write(&mut self, row: u64, addr: u64, obs: &mut StackObs) {
+        if self.row != Some(row) {
+            self.close(obs);
+            self.row = Some(row);
+            self.addr = addr;
+        }
+        self.len += 1;
+        obs.inc(self.metrics.ops);
+        obs.inc(self.metrics.read_phases);
+    }
+}
+
+impl ArrayLedger {
+    /// A 6T ledger: one array access per request.
+    pub(crate) fn six_t() -> Self {
+        ArrayLedger {
+            ledger: Ledger::new("6T"),
+            rmw: None,
+        }
+    }
+
+    /// An RMW ledger: a row read plus a row write per store.
+    fn rmw() -> Self {
+        let mut ledger = Ledger::new("RMW");
+        let metrics = RmwMetrics::register(&mut ledger.obs);
+        ArrayLedger {
+            ledger,
+            rmw: Some(RmwBurst {
+                metrics,
+                row: None,
+                len: 0,
+                addr: 0,
+            }),
+        }
+    }
+
+    /// Accounts one serviced request. `silent` is meaningful for writes
+    /// only; the `primary` ledger also counts what the family shares.
+    /// Returns the request's array cost under this scheme.
+    #[inline]
+    fn account(
+        &mut self,
+        d: &DecodedOp,
+        residency: &ResidencyOutcome,
+        silent: bool,
+        primary: bool,
+    ) -> AccessCost {
+        let ledger = &mut self.ledger;
+        ledger.record_residency(residency, primary);
+        if d.is_read() {
+            // A read breaks the run of consecutive same-row writes.
+            if let Some(burst) = &mut self.rmw {
+                burst.close(&mut ledger.obs);
+            }
+            ledger.record_read(residency.hit, primary);
+            if primary {
+                ledger.traffic.demand_reads += 1;
+            }
+            return AccessCost {
+                row_reads: 1,
+                row_writes: 0,
+                buffer_hit: false,
+            };
+        }
+        if let Some(burst) = &mut self.rmw {
+            burst.write(d.set, d.addr.raw(), &mut ledger.obs);
+        }
+        ledger.record_write(residency.hit, silent, primary);
+        if primary {
+            ledger.traffic.demand_writes += 1;
+        }
+        let rmw = self.rmw.is_some();
+        if rmw {
+            // RMW: read row into the write-back latches (extra read),
+            // then write the merged row.
+            ledger.traffic.rmw_read_phases += 1;
+            ledger.traffic.rmw_ops += 1;
+        }
+        AccessCost {
+            row_reads: u32::from(rmw),
+            row_writes: 1,
+            buffer_hit: false,
+        }
+    }
+}
+
 impl RmwController {
     /// Creates an empty RMW controller.
     pub fn new(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
@@ -80,98 +202,47 @@ impl RmwController {
 
     /// Creates a controller over an existing backend (e.g. one built with
     /// [`CacheBackend::with_l2`]).
-    pub fn from_backend(mut backend: CacheBackend) -> Self {
-        let metrics = RmwMetrics::register(backend.obs_mut());
-        RmwController {
-            backend,
-            traffic: ArrayTraffic::new(),
-            metrics,
-            burst_row: None,
-            burst_len: 0,
-            burst_addr: 0,
-        }
+    pub fn from_backend(backend: CacheBackend) -> Self {
+        RmwController::with_ledgers(backend, [ArrayLedger::rmw()])
     }
+}
 
-    /// Closes the in-flight write burst: one `rmw.sequences` count, one
-    /// `rmw.burst` observation, one `RmwSequence` event.
-    fn close_burst(&mut self) {
-        if self.burst_len == 0 {
-            return;
-        }
-        let obs = self.backend.obs_mut();
-        obs.inc(self.metrics.sequences);
-        obs.observe(self.metrics.burst, self.burst_len);
-        obs.emit(
-            Component::Rmw,
-            EventKind::RmwSequence,
-            self.burst_addr,
-            self.burst_len,
-        );
-        self.burst_row = None;
-        self.burst_len = 0;
+impl RmwController<2> {
+    /// The 6T/RMW family: ledgers `[6T, RMW]` over one functional cache.
+    pub fn family(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
+        RmwController::with_ledgers(
+            CacheBackend::new(geometry, replacement),
+            [ArrayLedger::six_t(), ArrayLedger::rmw()],
+        )
+    }
+}
+
+impl<const N: usize> RmwController<N> {
+    pub(crate) fn with_ledgers(backend: CacheBackend, ledgers: [ArrayLedger; N]) -> Self {
+        RmwController { backend, ledgers }
     }
 
     /// Services one request with its address decomposition precomputed —
-    /// shared by the per-op and batched paths. The write path's burst
-    /// row is the pre-decoded set index.
+    /// shared by the per-op and batched paths: the functional step once,
+    /// then every ledger's accounting.
     #[inline]
     fn access_decoded(&mut self, d: DecodedOp) -> AccessResponse {
         let probed = self.backend.cache().find_in_set(d.set, d.tag);
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
-        let (value, cost) = if d.is_read() {
-            // A read breaks the run of consecutive same-row writes.
-            self.close_burst();
-            let value = self
-                .backend
-                .cache_mut()
-                .read_word_at(d.set, residency.way, d.word);
-            self.backend.record_read(residency.hit);
-            self.traffic.demand_reads += 1;
-            (
-                value,
-                AccessCost {
-                    row_reads: 1,
-                    row_writes: 0,
-                    buffer_hit: false,
-                },
-            )
+        let cache = self.backend.cache_mut();
+        let (value, silent) = if d.is_read() {
+            (cache.read_word_at(d.set, residency.way, d.word), false)
         } else {
-            // RMW: read row into the write-back latches (extra read), then
-            // write the merged row.
-            let row = d.set;
-            if self.burst_row != Some(row) {
-                self.close_burst();
-                self.burst_row = Some(row);
-                self.burst_addr = d.addr.raw();
-            }
-            self.burst_len += 1;
-            let ops = self.metrics.ops;
-            let read_phases = self.metrics.read_phases;
-            self.backend.obs_mut().inc(ops);
-            self.backend.obs_mut().inc(read_phases);
-            let effect =
-                self.backend
-                    .cache_mut()
-                    .write_word_at(d.set, residency.way, d.word, d.value);
-            self.backend.record_write(residency.hit, effect.was_silent);
-            self.traffic.rmw_read_phases += 1;
-            self.traffic.demand_writes += 1;
-            self.traffic.rmw_ops += 1;
-            (
-                d.value,
-                AccessCost {
-                    row_reads: 1,
-                    row_writes: 1,
-                    buffer_hit: false,
-                },
-            )
+            let effect = cache.write_word_at(d.set, residency.way, d.word, d.value);
+            (d.value, effect.was_silent)
         };
+        let mut cost = AccessCost::default();
+        for (i, ledger) in self.ledgers.iter_mut().enumerate() {
+            let c = ledger.account(&d, &residency, silent, i == 0);
+            if i == 0 {
+                cost = c;
+            }
+        }
         AccessResponse {
             value,
             hit: residency.hit,
@@ -180,7 +251,7 @@ impl RmwController {
     }
 }
 
-impl Controller for RmwController {
+impl<const N: usize> Controller for RmwController<N> {
     fn access(&mut self, op: &MemOp) -> AccessResponse {
         let g = self.backend.cache().geometry();
         self.access_decoded(DecodedOp::from_op(op, &g))
@@ -199,21 +270,34 @@ impl Controller for RmwController {
 
     fn flush(&mut self) {
         // No buffered data, but an in-flight burst observation to settle.
-        self.close_burst();
+        for l in &mut self.ledgers {
+            if let Some(burst) = &mut l.rmw {
+                burst.close(&mut l.ledger.obs);
+            }
+        }
+        self.settle();
     }
 
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
+    fn settle(&mut self) {
+        // 6T and RMW count demand reads and writes alike; only RMW's
+        // read phases and bursts are its own.
+        let (primary, members) = self.ledgers.split_at_mut(1);
+        let primary = &primary[0].ledger;
+        for l in members {
+            l.ledger.mirror(primary, &[], &[]);
+            l.ledger.traffic.demand_reads = primary.traffic.demand_reads;
+            l.ledger.traffic.demand_writes = primary.traffic.demand_writes;
+        }
     }
 
     fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
-        self.burst_row = None;
-        self.burst_len = 0;
+        for l in &mut self.ledgers {
+            l.ledger.reset();
+            if let Some(burst) = &mut l.rmw {
+                burst.row = None;
+                burst.len = 0;
+            }
+        }
         self.backend.reset_stats();
     }
 
@@ -225,27 +309,34 @@ impl Controller for RmwController {
         self.backend.memory()
     }
 
-    fn name(&self) -> &'static str {
-        "RMW"
-    }
-
     fn peek_word(&self, addr: Address) -> u64 {
         self.backend.peek_word(addr)
     }
 
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
+    fn ledger_count(&self) -> usize {
+        N
     }
 
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
+    fn ledger(&self, i: usize) -> &Ledger {
+        &self.ledgers[i].ledger
+    }
+
+    fn ledger_mut(&mut self, i: usize) -> &mut Ledger {
+        &mut self.ledgers[i].ledger
+    }
+
+    fn name(&self) -> &'static str {
+        match N {
+            1 => self.ledgers[0].ledger.name(),
+            _ => "6T/RMW",
+        }
     }
 }
 
-impl fmt::Debug for RmwController {
+impl<const N: usize> fmt::Debug for RmwController<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RmwController")
-            .field("traffic", &self.traffic)
+            .field("ledgers", &self.ledgers)
             .field("backend", &self.backend)
             .finish()
     }
@@ -254,7 +345,6 @@ impl fmt::Debug for RmwController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConventionalController;
 
     fn geometry() -> CacheGeometry {
         CacheGeometry::new(1024, 2, 32).unwrap()
@@ -283,7 +373,7 @@ mod tests {
         // A stream of 65% reads / 35% writes should cost RMW ~35% more
         // activations than the conventional controller (paper motivation).
         let mut rmw = RmwController::new(geometry(), ReplacementKind::Lru);
-        let mut conv = ConventionalController::new(geometry(), ReplacementKind::Lru);
+        let mut conv = RmwController::conventional(geometry(), ReplacementKind::Lru);
         let mut value = 0u64;
         for i in 0..1000u64 {
             let addr = Address::new((i % 32) * 8);
@@ -303,7 +393,7 @@ mod tests {
     #[test]
     fn functionally_identical_to_conventional() {
         let mut rmw = RmwController::new(geometry(), ReplacementKind::Lru);
-        let mut conv = ConventionalController::new(geometry(), ReplacementKind::Lru);
+        let mut conv = RmwController::conventional(geometry(), ReplacementKind::Lru);
         for i in 0..500u64 {
             let addr = Address::new((i * 40) % 4096);
             let op = if i % 3 == 0 {

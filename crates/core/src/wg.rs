@@ -10,12 +10,12 @@ use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
 use crate::obs::StackObs;
-use crate::ArrayTraffic;
+use crate::Ledger;
 
 /// Configuration of the grouping controller.
 ///
 /// The defaults are the paper's WG (§4.1): one Set-Buffer, silent-write
-/// detection on, no read bypassing. [`WgRbController`] enables
+/// detection on, no read bypassing. [`WgOptions::wg_rb`] enables
 /// `read_bypass` (§4.2); the remaining knobs exist for the ablation studies
 /// in `cache8t-bench` (`ext_ablations`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,13 +73,19 @@ pub enum WgFault {
 }
 
 /// Borrowed read-only view of one resident Set-Buffer and its Tag-Buffer
-/// entry, for external invariant checking (see `cache8t-conform`).
+/// entry, for external invariant checking (see `cache8t-conform`). The
+/// grouping state (Dirty bit, modified ways, writes since sync) is ledger
+/// 0's.
 ///
 /// Views borrow the controller directly, so draining them every replay
 /// step (as the conformance harness does) copies nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct WgBufferView<'a> {
-    buf: &'a SetBuffer,
+    set_index: u64,
+    tags: &'a [Option<u64>],
+    data: &'a [u64],
+    modified: &'a [bool],
+    group: GroupState,
     block_words: usize,
 }
 
@@ -87,50 +93,51 @@ impl<'a> WgBufferView<'a> {
     /// The buffered set's index.
     #[inline]
     pub fn set_index(&self) -> u64 {
-        self.buf.set_index
+        self.set_index
     }
 
     /// Number of ways in the buffered set.
     #[inline]
     pub fn ways(&self) -> usize {
-        self.buf.tags.len()
+        self.tags.len()
     }
 
     /// Per-way tags (`None` for ways invalid at fill time).
     #[inline]
     pub fn tags(&self) -> &'a [Option<u64>] {
-        &self.buf.tags
+        self.tags
     }
 
     /// Block data of `way` as currently buffered.
     #[inline]
     pub fn way_data(&self, way: usize) -> &'a [u64] {
-        &self.buf.data[way * self.block_words..(way + 1) * self.block_words]
+        &self.data[way * self.block_words..(way + 1) * self.block_words]
     }
 
     /// Whether `way` was modified through the buffer since its fill.
     #[inline]
     pub fn is_modified(&self, way: usize) -> bool {
-        self.buf.modified[way]
+        self.modified[way]
     }
 
     /// The paper's Dirty bit.
     #[inline]
     pub fn dirty(&self) -> bool {
-        self.buf.dirty
+        self.group.dirty
     }
 
     /// Writes absorbed since the last synchronization.
     #[inline]
     pub fn writes_since_sync(&self) -> u64 {
-        self.buf.writes_since_sync
+        self.group.writes_since_sync
     }
 }
 
 /// One buffered cache set: the Set-Buffer contents plus the Tag-Buffer
-/// entry describing them (paper Figure 6).
+/// entry describing them (paper Figure 6), and each ledger's grouping
+/// state over them.
 #[derive(Debug, Clone)]
-struct SetBuffer {
+struct SetBuffer<const N: usize> {
     /// The buffered set's index (the "Set" field of the Tag-Buffer).
     set_index: u64,
     /// Per-way tags (`None` for ways that were invalid at fill time).
@@ -138,19 +145,44 @@ struct SetBuffer {
     /// All ways' block data in one flat arena (`way * block_words + word`),
     /// updated in place by grouped writes.
     data: Vec<u64>,
-    /// Per-way dirty state of the underlying cache line at fill time.
+    /// Per-way dirty state of the underlying cache line: its state at
+    /// fill time, plus every modification a ledger's write-back has
+    /// folded in since.
     line_dirty: Vec<bool>,
-    /// Per-way "modified through the buffer" flags (set by non-silent
-    /// grouped writes; folded into the line dirty bits at write-back).
+    /// Request tick at which this buffer was filled (for the
+    /// `wg.buffer_residency` histogram).
+    filled_at_tick: u64,
+    /// Per-ledger, per-way "modified through the buffer" flags, ledger
+    /// `i`'s at `i * ways + way`: set by non-silent grouped writes, folded
+    /// into the line dirty bits at that ledger's write-back.
     modified: Vec<bool>,
+    /// Per-ledger grouping state. The buffered data is the same for every
+    /// ledger; only when each one writes it back differs.
+    groups: [GroupState; N],
+}
+
+/// One ledger's grouping state over a Set-Buffer (with its modified-way
+/// flags in [`SetBuffer::modified`]).
+///
+/// WG's premature write-backs and WG+RB's bypassed reads differ only
+/// here: a WG+RB ledger keeps its Dirty bit through a read that makes the
+/// WG ledger write back, so each ledger keeps its own copy.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupState {
     /// The paper's single Dirty bit: the buffer diverges from the array.
     dirty: bool,
     /// Writes absorbed since the last synchronization (used to count
     /// write-backs elided by the Dirty bit).
     writes_since_sync: u64,
-    /// Request tick at which this buffer was filled (for the
-    /// `wg.buffer_residency` histogram).
-    filled_at_tick: u64,
+}
+
+/// One WG or WG+RB ledger and the options that make it one or the other.
+#[derive(Debug)]
+struct WgLedger {
+    ledger: Ledger,
+    read_bypass: bool,
+    silent_detection: bool,
+    metrics: WgMetrics,
 }
 
 /// Handles of the grouping-specific metrics.
@@ -193,6 +225,19 @@ impl WgMetrics {
     }
 }
 
+impl WgLedger {
+    fn new(options: WgOptions) -> Self {
+        let mut ledger = Ledger::new(if options.read_bypass { "WG+RB" } else { "WG" });
+        let metrics = WgMetrics::register(&mut ledger.obs);
+        WgLedger {
+            ledger,
+            read_bypass: options.read_bypass,
+            silent_detection: options.silent_detection,
+            metrics,
+        }
+    }
+}
+
 /// **Write Grouping** — the paper's §4.1 technique, generalized by
 /// [`WgOptions`].
 ///
@@ -209,45 +254,28 @@ impl WgMetrics {
 /// identical to [`RmwController`](crate::RmwController); only the array
 /// traffic differs. The equivalence tests in this crate enforce that.
 ///
+/// The Set-Buffer's data is also identical with and without read
+/// bypassing, so this is the grouping *family* controller too: one
+/// functional core (cache, Set-Buffers) under `N` ledgers, each with its
+/// own options and grouping state. [`WgController::family`] keeps a WG and
+/// a WG+RB ledger, so a single replay yields both results.
+///
 /// See the [crate docs](crate) for an example.
-pub struct WgController {
+pub struct WgController<const N: usize = 1> {
     backend: CacheBackend,
-    traffic: ArrayTraffic,
-    options: WgOptions,
-    metrics: WgMetrics,
+    ledgers: [WgLedger; N],
+    buffer_depth: usize,
+    /// Some ledger reads the array on a Tag-Buffer hit (plain WG). The
+    /// value is the buffer's either way; this only decides whether the
+    /// functional cache counts an array read hit or just a touch.
+    array_reads: bool,
     /// Buffered sets, most recently used first. Length ≤ buffer_depth.
-    buffers: Vec<SetBuffer>,
+    buffers: Vec<SetBuffer<N>>,
     /// Retired Set-Buffers kept for reuse: refilling one recycles its
     /// allocations, so the steady-state fill/evict cycle allocates nothing.
-    free: Vec<SetBuffer>,
+    free: Vec<SetBuffer<N>>,
     /// Armed self-test fault, if any (see [`WgFault`]).
     fault: Option<WgFault>,
-}
-
-/// **Write Grouping + Read Bypassing** — the paper's §4.2 technique.
-///
-/// Identical to [`WgController`] except that reads hitting the Tag-Buffer
-/// are served directly from the Set-Buffer through an extra output
-/// multiplexer (paper Figure 7): no premature write-back, no array read,
-/// and the read port stays free.
-///
-/// # Example
-///
-/// ```
-/// use cache8t_core::{Controller, WgRbController};
-/// use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
-/// use cache8t_trace::MemOp;
-///
-/// let mut c = WgRbController::new(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
-/// let a = Address::new(0x2000);
-/// c.access(&MemOp::write(a, 7));          // fills the Set-Buffer (1 read)
-/// let r = c.access(&MemOp::read(a));      // bypassed: served from the buffer
-/// assert_eq!(r.value, 7);
-/// assert!(r.cost.buffer_hit);
-/// assert_eq!(c.traffic().bypassed_reads, 1);
-/// ```
-pub struct WgRbController {
-    inner: WgController,
 }
 
 impl WgController {
@@ -275,26 +303,78 @@ impl WgController {
     /// # Panics
     ///
     /// Panics if `options.buffer_depth == 0`.
-    pub fn from_backend(mut backend: CacheBackend, options: WgOptions) -> Self {
+    pub fn from_backend(backend: CacheBackend, options: WgOptions) -> Self {
+        WgController::with_ledgers(backend, [options])
+    }
+
+    /// **Write Grouping + Read Bypassing** — the paper's §4.2 technique,
+    /// with the paper's options ([`WgOptions::wg_rb`]).
+    ///
+    /// Identical to WG except that reads hitting the Tag-Buffer are
+    /// served directly from the Set-Buffer through an extra output
+    /// multiplexer (paper Figure 7): no premature write-back, no array
+    /// read, and the read port stays free.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cache8t_core::{Controller, WgController};
+    /// use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
+    /// use cache8t_trace::MemOp;
+    ///
+    /// let mut c = WgController::wg_rb(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
+    /// let a = Address::new(0x2000);
+    /// c.access(&MemOp::write(a, 7));          // fills the Set-Buffer (1 read)
+    /// let r = c.access(&MemOp::read(a));      // bypassed: served from the buffer
+    /// assert_eq!(r.value, 7);
+    /// assert!(r.cost.buffer_hit);
+    /// assert_eq!(c.traffic().bypassed_reads, 1);
+    /// ```
+    pub fn wg_rb(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
+        WgController::with_options(geometry, replacement, WgOptions::wg_rb())
+    }
+}
+
+impl WgController<2> {
+    /// The grouping family: a WG and a WG+RB ledger, with the paper's
+    /// options, over one Set-Buffer.
+    pub fn family(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
+        WgController::with_ledgers(
+            CacheBackend::new(geometry, replacement),
+            [WgOptions::wg(), WgOptions::wg_rb()],
+        )
+    }
+}
+
+impl<const N: usize> WgController<N> {
+    /// One ledger per entry of `options`, which must agree on the
+    /// (functional) buffer depth.
+    fn with_ledgers(backend: CacheBackend, options: [WgOptions; N]) -> Self {
+        let buffer_depth = options[0].buffer_depth;
+        assert!(buffer_depth >= 1, "at least one Set-Buffer is required");
         assert!(
-            options.buffer_depth >= 1,
-            "at least one Set-Buffer is required"
+            options.iter().all(|o| o.buffer_depth == buffer_depth),
+            "ledgers of one family share the Set-Buffers"
         );
-        let metrics = WgMetrics::register(backend.obs_mut());
+        let ledgers = options.map(WgLedger::new);
         WgController {
             backend,
-            traffic: ArrayTraffic::new(),
-            options,
-            metrics,
-            buffers: Vec::with_capacity(options.buffer_depth),
-            free: Vec::with_capacity(options.buffer_depth),
+            array_reads: ledgers.iter().any(|l| !l.read_bypass),
+            ledgers,
+            buffer_depth,
+            buffers: Vec::with_capacity(buffer_depth),
+            free: Vec::with_capacity(buffer_depth),
             fault: None,
         }
     }
 
-    /// The active options.
+    /// Ledger 0's options.
     pub fn options(&self) -> WgOptions {
-        self.options
+        WgOptions {
+            read_bypass: self.ledgers[0].read_bypass,
+            silent_detection: self.ledgers[0].silent_detection,
+            buffer_depth: self.buffer_depth,
+        }
     }
 
     /// Arms a deliberate equivalence bug for conformance-harness
@@ -309,9 +389,14 @@ impl WgController {
     /// external invariant checking. Nothing is cloned.
     pub fn buffer_views(&self) -> impl Iterator<Item = WgBufferView<'_>> {
         let block_words = self.geometry().block_words();
-        self.buffers
-            .iter()
-            .map(move |buf| WgBufferView { buf, block_words })
+        self.buffers.iter().map(move |buf| WgBufferView {
+            set_index: buf.set_index,
+            tags: &buf.tags,
+            data: &buf.data,
+            modified: &buf.modified[..buf.tags.len()],
+            group: buf.groups[0],
+            block_words,
+        })
     }
 
     fn geometry(&self) -> CacheGeometry {
@@ -356,15 +441,22 @@ impl WgController {
         }
     }
 
-    /// Writes the buffer back to the array if its Dirty bit is set.
-    /// Returns `true` if a row write was performed.
+    /// Synchronizes the buffer at `pos` for every ledger that needs it:
+    /// all of them, or for a premature (read-forced) write-back only the
+    /// ledgers without read bypassing. The buffer is written back to the
+    /// array once if any of their Dirty bits is set; each ledger then
+    /// accounts its own write-back, or its elided silent group. Returns
+    /// `true` if ledger 0 performed a row write.
     fn sync_buffer(&mut self, pos: usize, premature: bool) -> bool {
         let buf = &mut self.buffers[pos];
-        let performed = buf.dirty;
         let set_index = buf.set_index;
-        let group_len = buf.writes_since_sync;
-        let m = self.metrics;
-        if buf.dirty {
+        let syncs = |l: &WgLedger| !premature || !l.read_bypass;
+        let deposit = self
+            .ledgers
+            .iter()
+            .zip(&buf.groups)
+            .any(|(l, group)| syncs(l) && group.dirty);
+        if deposit {
             // The buffer mirrors one whole SRAM row, and the row's ways
             // are contiguous in the cache's word arena — so the deposit
             // is a single set-wide branchless compare + copy instead of
@@ -374,56 +466,72 @@ impl WgController {
             // stored data.
             self.backend
                 .cache_mut()
-                .replace_set_words(buf.set_index, &buf.data);
-            for way in 0..buf.tags.len() {
+                .replace_set_words(set_index, &buf.data);
+            let ways = buf.tags.len();
+            for way in 0..ways {
                 if buf.tags[way].is_none() {
                     continue;
                 }
-                let line_dirty = buf.line_dirty[way] || buf.modified[way];
+                let mut line_dirty = buf.line_dirty[way];
+                for (i, (l, group)) in self.ledgers.iter().zip(&buf.groups).enumerate() {
+                    if syncs(l) && group.dirty {
+                        line_dirty |= buf.modified[i * ways + way];
+                        buf.modified[i * ways + way] = false;
+                    }
+                }
                 self.backend
                     .cache_mut()
-                    .set_line_dirty(buf.set_index, way, line_dirty);
+                    .set_line_dirty(set_index, way, line_dirty);
                 buf.line_dirty[way] = line_dirty;
-                buf.modified[way] = false;
             }
-            buf.dirty = false;
-            self.traffic.writebacks += 1;
-            self.backend.obs_mut().inc(m.writebacks);
-            if premature {
-                self.traffic.premature_writebacks += 1;
-                self.backend.obs_mut().inc(m.premature_writebacks);
-            }
-            // A dirty deposit always closes a write group.
-            self.backend.obs_mut().inc(m.groups);
-            self.backend.obs_mut().observe(m.group_len, group_len);
-            self.backend
-                .obs_mut()
-                .emit(Component::Wg, EventKind::GroupFlush, set_index, group_len);
-        } else if group_len > 0 {
-            // The Dirty bit is clear although writes were absorbed: the
-            // whole group was silent and the write-back is elided.
-            self.traffic.silent_writebacks_elided += 1;
-            let obs = self.backend.obs_mut();
-            obs.inc(m.silent_suppressed);
-            obs.inc(m.groups);
-            obs.observe(m.group_len, group_len);
-            obs.emit(Component::Wg, EventKind::SilentElide, set_index, group_len);
         }
-        self.buffers[pos].writes_since_sync = 0;
-        performed
+        let mut wrote = false;
+        for (i, (l, group)) in self.ledgers.iter_mut().zip(&mut buf.groups).enumerate() {
+            if !syncs(l) {
+                continue;
+            }
+            let (ledger, m) = (&mut l.ledger, l.metrics);
+            let group_len = group.writes_since_sync;
+            if group.dirty {
+                group.dirty = false;
+                wrote |= i == 0;
+                ledger.traffic.writebacks += 1;
+                let obs = &mut ledger.obs;
+                obs.inc(m.writebacks);
+                if premature {
+                    ledger.traffic.premature_writebacks += 1;
+                    obs.inc(m.premature_writebacks);
+                }
+                // A dirty deposit always closes a write group.
+                obs.inc(m.groups);
+                obs.observe(m.group_len, group_len);
+                obs.emit(Component::Wg, EventKind::GroupFlush, set_index, group_len);
+            } else if group_len > 0 {
+                // The Dirty bit is clear although writes were absorbed:
+                // the whole group was silent and the write-back is elided.
+                ledger.traffic.silent_writebacks_elided += 1;
+                let obs = &mut ledger.obs;
+                obs.inc(m.silent_suppressed);
+                obs.inc(m.groups);
+                obs.observe(m.group_len, group_len);
+                obs.emit(Component::Wg, EventKind::SilentElide, set_index, group_len);
+            }
+            group.writes_since_sync = 0;
+        }
+        wrote
     }
 
-    /// Synchronizes and discards the buffer at `pos`. Returns `true` if a
-    /// row write was performed.
+    /// Synchronizes every ledger's view of the buffer at `pos`, then
+    /// discards it. Returns `true` if ledger 0 performed a row write.
     fn evict_buffer(&mut self, pos: usize) -> bool {
         let wrote = self.sync_buffer(pos, false);
         let buf = self.buffers.remove(pos);
-        let residency = self.backend.obs().tick().saturating_sub(buf.filled_at_tick);
+        let WgLedger {
+            ledger, metrics, ..
+        } = &mut self.ledgers[0];
+        let residency = ledger.obs.tick().saturating_sub(buf.filled_at_tick);
+        ledger.obs.observe(metrics.buffer_residency, residency);
         self.free.push(buf);
-        let m = self.metrics;
-        self.backend
-            .obs_mut()
-            .observe(m.buffer_residency, residency);
         wrote
     }
 
@@ -433,24 +541,19 @@ impl WgController {
     fn fill_buffer(&mut self, set_index: u64) {
         let g = self.geometry();
         let ways = g.ways() as usize;
-        let block_words = g.block_words();
         let mut buf = self.free.pop().unwrap_or_else(|| SetBuffer {
             set_index: 0,
-            tags: Vec::with_capacity(ways),
-            data: vec![0; ways * block_words],
-            line_dirty: Vec::with_capacity(ways),
-            modified: Vec::with_capacity(ways),
-            dirty: false,
-            writes_since_sync: 0,
+            tags: vec![None; ways],
+            data: vec![0; ways * g.block_words()],
+            line_dirty: vec![false; ways],
             filled_at_tick: 0,
+            modified: vec![false; N * ways],
+            groups: [GroupState::default(); N],
         });
         buf.set_index = set_index;
-        buf.tags.clear();
-        buf.line_dirty.clear();
-        buf.modified.clear();
-        buf.dirty = false;
-        buf.writes_since_sync = 0;
-        buf.filled_at_tick = self.backend.obs().tick();
+        buf.modified.fill(false);
+        buf.groups = [GroupState::default(); N];
+        buf.filled_at_tick = self.ledgers[0].ledger.obs.tick();
         // Snapshot the whole row's words in one copy — the set's ways
         // are contiguous in the cache's word arena — and walk only the
         // per-way metadata.
@@ -460,16 +563,19 @@ impl WgController {
         for way in 0..ways {
             let (tag, valid, dirty) = self.backend.cache().line_meta(set_index, way);
             valid_ways += u64::from(valid);
-            buf.tags.push(valid.then_some(tag));
-            buf.line_dirty.push(valid && dirty);
-            buf.modified.push(false);
+            buf.tags[way] = valid.then_some(tag);
+            buf.line_dirty[way] = valid && dirty;
         }
-        self.traffic.buffer_fills += 1;
-        let m = self.metrics;
-        self.backend.obs_mut().inc(m.buffer_fills);
-        self.backend
-            .obs_mut()
-            .emit(Component::Wg, EventKind::BufferFill, set_index, valid_ways);
+        let WgLedger {
+            ledger, metrics, ..
+        } = &mut self.ledgers[0];
+        ledger.traffic.buffer_fills += 1;
+        ledger.obs.inc(metrics.buffer_fills);
+        for l in &mut self.ledgers {
+            l.ledger
+                .obs
+                .emit(Component::Wg, EventKind::BufferFill, set_index, valid_ways);
+        }
         self.buffers.insert(0, buf);
     }
 
@@ -480,54 +586,59 @@ impl WgController {
         }
     }
 
+    #[inline]
     fn serve_read(&mut self, d: DecodedOp) -> AccessResponse {
         let DecodedOp { set, tag, word, .. } = d;
-        let g = self.geometry();
         if let Some((pos, way)) = self.tag_hit_parts(set, tag) {
             // A Set-Buffer mirrors its cache set in way order and fills
             // into a buffered set always drop the buffer first, so the
             // buffer way *is* the cache way — the line can be addressed
             // directly with no second tag search.
             debug_assert_eq!(self.backend.cache().find_in_set(set, tag), Some(way));
-            if self.options.read_bypass {
-                // WG+RB: route the Set-Buffer to the output (Figure 7).
-                let value = self.buffers[pos].data[way * g.block_words() + word];
-                self.backend.cache_mut().touch_at(set, way);
-                self.backend.record_read(true);
-                self.promote_buffer(pos);
-                self.traffic.bypassed_reads += 1;
-                let m = self.metrics;
-                self.backend.obs_mut().inc(m.bypassed_reads);
-                self.backend.obs_mut().emit_verbose(
-                    Component::Wg,
-                    EventKind::Bypass,
-                    d.addr.raw(),
-                    value,
-                );
-                return AccessResponse {
-                    value,
-                    hit: true,
-                    cost: AccessCost {
-                        row_reads: 0,
-                        row_writes: 0,
-                        buffer_hit: true,
-                    },
-                };
-            }
             // Plain WG: the array must be current before reading it, so a
             // premature write-back is forced when the buffer is dirty.
-            let wrote = self.sync_buffer(pos, true);
+            // WG+RB routes the Set-Buffer to the output instead (Figure
+            // 7), so its Dirty bit survives the read. The array and the
+            // buffer then agree on this word, so the value is the same
+            // either way.
+            let (value, wrote) = if self.array_reads {
+                let wrote = self.sync_buffer(pos, true);
+                (self.backend.cache_mut().read_word_at(set, way, word), wrote)
+            } else {
+                self.backend.cache_mut().touch_at(set, way);
+                let words = self.geometry().block_words();
+                (self.buffers[pos].data[way * words + word], false)
+            };
             self.promote_buffer(pos);
-            let value = self.backend.cache_mut().read_word_at(set, way, word);
-            self.backend.record_read(true);
-            self.traffic.demand_reads += 1;
+            for (
+                i,
+                WgLedger {
+                    ledger,
+                    read_bypass,
+                    metrics,
+                    ..
+                },
+            ) in self.ledgers.iter_mut().enumerate()
+            {
+                ledger.record_read(true, i == 0);
+                if *read_bypass {
+                    ledger.traffic.bypassed_reads += 1;
+                    ledger.obs.inc(metrics.bypassed_reads);
+                    ledger
+                        .obs
+                        .emit_verbose(Component::Wg, EventKind::Bypass, d.addr.raw(), value);
+                } else {
+                    ledger.traffic.demand_reads += 1;
+                }
+            }
+            let bypassed = self.ledgers[0].read_bypass;
             return AccessResponse {
                 value,
                 hit: true,
                 cost: AccessCost {
-                    row_reads: 1,
+                    row_reads: u32::from(!bypassed),
                     row_writes: u32::from(wrote),
-                    buffer_hit: false,
+                    buffer_hit: bypassed,
                 },
             };
         }
@@ -543,18 +654,15 @@ impl WgController {
             }
         }
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
         let value = self
             .backend
             .cache_mut()
             .read_word_at(set, residency.way, word);
-        self.backend.record_read(residency.hit);
-        self.traffic.demand_reads += 1;
+        for (i, l) in self.ledgers.iter_mut().enumerate() {
+            l.ledger.record_residency(&residency, i == 0);
+            l.ledger.record_read(residency.hit, i == 0);
+            l.ledger.traffic.demand_reads += 1;
+        }
         cost.row_reads += 1;
         AccessResponse {
             value,
@@ -564,25 +672,30 @@ impl WgController {
     }
 
     /// Applies a write to the buffer at `pos` (the "Update the Set-Buffer,
-    /// set the Dirty bit if it is non-silent" step). Returns `true` if the
-    /// write was silent.
+    /// set the Dirty bit if it is non-silent" step) in every ledger's
+    /// grouping state. Returns `true` if the write was silent.
+    #[inline]
     fn write_into_buffer(&mut self, pos: usize, way: usize, word: usize, value: u64) -> bool {
         let idx = way * self.geometry().block_words() + word;
+        let skip_dirty = self.fault == Some(WgFault::SkipDirtyBit);
         let buf = &mut self.buffers[pos];
+        let ways = buf.tags.len();
         let old = buf.data[idx];
         buf.data[idx] = value;
         let silent = old == value;
-        if !silent {
-            buf.modified[way] = true;
+        for (i, (group, l)) in buf.groups.iter_mut().zip(&self.ledgers).enumerate() {
+            if !silent {
+                buf.modified[i * ways + way] = true;
+            }
+            if (!silent || !l.silent_detection) && !skip_dirty {
+                group.dirty = true;
+            }
+            group.writes_since_sync += 1;
         }
-        let skip_dirty = self.fault == Some(WgFault::SkipDirtyBit);
-        if (!silent || !self.options.silent_detection) && !skip_dirty {
-            buf.dirty = true;
-        }
-        buf.writes_since_sync += 1;
         silent
     }
 
+    #[inline]
     fn serve_write(&mut self, d: DecodedOp) -> AccessResponse {
         let DecodedOp { set, tag, word, .. } = d;
         if let Some((pos, way)) = self.tag_hit_parts(set, tag) {
@@ -591,12 +704,16 @@ impl WgController {
             // replacement touch needs no tag search either.
             debug_assert_eq!(self.backend.cache().find_in_set(set, tag), Some(way));
             let silent = self.write_into_buffer(pos, way, word, d.value);
-            self.backend.record_write(true, silent);
             self.promote_buffer(pos);
             self.backend.cache_mut().touch_at(set, way);
-            self.traffic.grouped_writes += 1;
-            let m = self.metrics;
-            self.backend.obs_mut().inc(m.grouped_writes);
+            for (i, l) in self.ledgers.iter_mut().enumerate() {
+                l.ledger.record_write(true, silent, i == 0);
+            }
+            let WgLedger {
+                ledger, metrics, ..
+            } = &mut self.ledgers[0];
+            ledger.traffic.grouped_writes += 1;
+            ledger.obs.inc(metrics.grouped_writes);
             return AccessResponse {
                 value: d.value,
                 hit: true,
@@ -619,17 +736,14 @@ impl WgController {
             }
         }
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
+        for (i, l) in self.ledgers.iter_mut().enumerate() {
+            l.ledger.record_residency(&residency, i == 0);
         }
 
         // Evict the least recently used buffer if all Set-Buffers are
         // occupied (with depth 1 this is Algorithm 1's "write-back the
         // Set-Buffer if the Dirty bit is set").
-        while self.buffers.len() >= self.options.buffer_depth {
+        while self.buffers.len() >= self.buffer_depth {
             let last = self.buffers.len() - 1;
             cost.row_writes += u32::from(self.evict_buffer(last));
         }
@@ -642,7 +756,9 @@ impl WgController {
         let way = residency.way;
         debug_assert_eq!(self.buffers[0].tags[way], Some(tag));
         let silent = self.write_into_buffer(0, way, word, d.value);
-        self.backend.record_write(residency.hit, silent);
+        for (i, l) in self.ledgers.iter_mut().enumerate() {
+            l.ledger.record_write(residency.hit, silent, i == 0);
+        }
         self.backend.cache_mut().touch_at(set, way);
 
         AccessResponse {
@@ -664,7 +780,7 @@ impl WgController {
     }
 }
 
-impl Controller for WgController {
+impl<const N: usize> Controller for WgController<N> {
     fn access(&mut self, op: &MemOp) -> AccessResponse {
         let g = self.geometry();
         self.access_decoded(DecodedOp::from_op(op, &g))
@@ -685,18 +801,30 @@ impl Controller for WgController {
         for pos in 0..self.buffers.len() {
             self.sync_buffer(pos, false);
         }
+        self.settle();
     }
 
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
+    fn settle(&mut self) {
+        // Buffer fills, grouped writes and buffer residencies are the
+        // same for every member; write-backs, groups and reads are not.
+        let (primary, members) = self.ledgers.split_at_mut(1);
+        let WgLedger {
+            ledger: primary,
+            metrics: m,
+            ..
+        } = &primary[0];
+        for l in members {
+            let shared = [m.buffer_fills, m.grouped_writes];
+            l.ledger.mirror(primary, &shared, &[m.buffer_residency]);
+            l.ledger.traffic.buffer_fills = primary.traffic.buffer_fills;
+            l.ledger.traffic.grouped_writes = primary.traffic.grouped_writes;
+        }
     }
 
     fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
+        for l in &mut self.ledgers {
+            l.ledger.reset();
+        }
         self.backend.reset_stats();
         // The tick restarted at zero: re-stamp surviving buffers so
         // residency observations stay non-negative.
@@ -713,14 +841,6 @@ impl Controller for WgController {
         self.backend.memory()
     }
 
-    fn name(&self) -> &'static str {
-        if self.options.read_bypass {
-            "WG+RB"
-        } else {
-            "WG"
-        }
-    }
-
     fn peek_word(&self, addr: Address) -> u64 {
         if let Some((pos, way)) = self.tag_hit(addr) {
             let g = self.geometry();
@@ -729,129 +849,44 @@ impl Controller for WgController {
         self.backend.peek_word(addr)
     }
 
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
+    fn ledger_count(&self) -> usize {
+        N
     }
 
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
+    fn ledger(&self, i: usize) -> &Ledger {
+        &self.ledgers[i].ledger
     }
 
-    fn occupancy(&self) -> Option<Vec<u64>> {
+    fn ledger_mut(&mut self, i: usize) -> &mut Ledger {
+        &mut self.ledgers[i].ledger
+    }
+
+    fn name(&self) -> &'static str {
+        match N {
+            1 => self.ledgers[0].ledger.name(),
+            _ => "WG/WG+RB",
+        }
+    }
+
+    fn occupancy(&self, ledger: usize) -> Option<Vec<u64>> {
         let ways = self.geometry().ways() as usize;
         let mut histogram = vec![0u64; ways + 1];
         for buf in &self.buffers {
-            let modified = buf.modified.iter().filter(|&&m| m).count();
+            let flags = &buf.modified[ledger * ways..(ledger + 1) * ways];
+            let modified = flags.iter().filter(|&&m| m).count();
             histogram[modified] += 1;
         }
         Some(histogram)
     }
 }
 
-impl fmt::Debug for WgController {
+impl<const N: usize> fmt::Debug for WgController<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WgController")
-            .field("options", &self.options)
+            .field("ledgers", &self.ledgers)
+            .field("buffer_depth", &self.buffer_depth)
             .field("buffered_sets", &self.buffers.len())
-            .field("traffic", &self.traffic)
             .finish_non_exhaustive()
-    }
-}
-
-impl WgRbController {
-    /// Creates a WG+RB controller with the paper's default options.
-    pub fn new(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
-        WgRbController {
-            inner: WgController::with_options(geometry, replacement, WgOptions::wg_rb()),
-        }
-    }
-
-    /// Creates a WG+RB controller over an existing backend (e.g. one built
-    /// with [`CacheBackend::with_l2`]).
-    pub fn from_backend(backend: CacheBackend) -> Self {
-        WgRbController {
-            inner: WgController::from_backend(backend, WgOptions::wg_rb()),
-        }
-    }
-
-    /// The wrapped grouping controller.
-    pub fn as_wg(&self) -> &WgController {
-        &self.inner
-    }
-
-    /// Arms a deliberate equivalence bug (see
-    /// [`WgController::inject_fault`]).
-    #[doc(hidden)]
-    pub fn inject_fault(&mut self, fault: Option<WgFault>) {
-        self.inner.inject_fault(fault);
-    }
-
-    /// Borrowed views of the resident Set-Buffers (see
-    /// [`WgController::buffer_views`]).
-    pub fn buffer_views(&self) -> impl Iterator<Item = WgBufferView<'_>> {
-        self.inner.buffer_views()
-    }
-}
-
-impl Controller for WgRbController {
-    fn access(&mut self, op: &MemOp) -> AccessResponse {
-        self.inner.access(op)
-    }
-
-    fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        self.inner.access_batch(batch, range);
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-
-    fn traffic(&self) -> &ArrayTraffic {
-        self.inner.traffic()
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.inner.stats()
-    }
-
-    fn reset_counters(&mut self) {
-        self.inner.reset_counters();
-    }
-
-    fn cache(&self) -> &DataCache {
-        self.inner.cache()
-    }
-
-    fn memory(&self) -> &MainMemory {
-        self.inner.memory()
-    }
-
-    fn name(&self) -> &'static str {
-        "WG+RB"
-    }
-
-    fn peek_word(&self, addr: Address) -> u64 {
-        self.inner.peek_word(addr)
-    }
-
-    fn obs(&self) -> Option<&StackObs> {
-        self.inner.obs()
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        self.inner.obs_mut()
-    }
-
-    fn occupancy(&self) -> Option<Vec<u64>> {
-        self.inner.occupancy()
-    }
-}
-
-impl fmt::Debug for WgRbController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WgRbController")
-            .field("inner", &self.inner)
-            .finish()
     }
 }
 
@@ -868,8 +903,8 @@ mod tests {
         WgController::new(geometry(), ReplacementKind::Lru)
     }
 
-    fn wgrb() -> WgRbController {
-        WgRbController::new(geometry(), ReplacementKind::Lru)
+    fn wgrb() -> WgController {
+        WgController::wg_rb(geometry(), ReplacementKind::Lru)
     }
 
     /// Two addresses in different sets of the test geometry.
@@ -1032,7 +1067,7 @@ mod tests {
         let mut c = wgrb();
         c.access(&MemOp::read(a));
         c.access(&MemOp::read(b));
-        c.inner.reset_counters();
+        c.reset_counters();
 
         c.access(&MemOp::read(a)); // 1 read
         c.access(&MemOp::write(b, 1)); // fill (1 read)
@@ -1185,22 +1220,21 @@ mod tests {
     fn occupancy_histogram_tracks_modified_ways() {
         let mut c = wg();
         assert_eq!(
-            c.occupancy(),
+            c.occupancy(0),
             Some(vec![0, 0, 0]),
             "2-way geometry: levels 0..=2, no buffer live yet"
         );
         let b = set_b_addr();
         c.access(&MemOp::write(b, 5)); // one modified way in the buffer
-        assert_eq!(c.occupancy(), Some(vec![0, 1, 0]));
+        assert_eq!(c.occupancy(0), Some(vec![0, 1, 0]));
         c.access(&MemOp::write(b.offset(0x80), 6)); // fills set b's other way
         c.access(&MemOp::write(b, 7)); // grouped: modifies the first way too
-        assert_eq!(c.occupancy(), Some(vec![0, 0, 1]), "both ways modified");
+        assert_eq!(c.occupancy(0), Some(vec![0, 0, 1]), "both ways modified");
         c.flush(); // write-back folds modified into line dirty bits
-        assert_eq!(c.occupancy(), Some(vec![1, 0, 0]));
-        // WG+RB delegates to the inner controller.
+        assert_eq!(c.occupancy(0), Some(vec![1, 0, 0]));
         let mut rb = wgrb();
         rb.access(&MemOp::write(b, 5));
-        assert_eq!(rb.occupancy(), Some(vec![0, 1, 0]));
+        assert_eq!(rb.occupancy(0), Some(vec![0, 1, 0]));
     }
 
     #[test]
@@ -1270,6 +1304,6 @@ mod tests {
         assert!(WgOptions::wg_rb().read_bypass);
         assert!(!WgOptions::default().read_bypass);
         assert_eq!(wg().options(), WgOptions::wg());
-        assert_eq!(wgrb().as_wg().options(), WgOptions::wg_rb());
+        assert_eq!(wgrb().options(), WgOptions::wg_rb());
     }
 }

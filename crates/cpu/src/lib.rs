@@ -31,7 +31,7 @@
 //! ## Example
 //!
 //! ```
-//! use cache8t_core::{RmwController, WgRbController};
+//! use cache8t_core::{RmwController, WgController};
 //! use cache8t_cpu::{PortTimingModel, TimingConfig};
 //! use cache8t_sim::{CacheGeometry, ReplacementKind};
 //! use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
@@ -42,7 +42,7 @@
 //! let model = PortTimingModel::new(TimingConfig::default());
 //!
 //! let rmw = model.run(&mut RmwController::new(g, ReplacementKind::Lru), &trace);
-//! let wgrb = model.run(&mut WgRbController::new(g, ReplacementKind::Lru), &trace);
+//! let wgrb = model.run(&mut WgController::wg_rb(g, ReplacementKind::Lru), &trace);
 //! assert!(wgrb.cycles < rmw.cycles, "WG+RB finishes the stream sooner");
 //! assert!(wgrb.avg_read_latency() < rmw.avg_read_latency());
 //! ```
@@ -288,7 +288,7 @@ impl PortTimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache8t_core::{ConventionalController, RmwController, WgController, WgRbController};
+    use cache8t_core::{RmwController, WgController};
     use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
     use cache8t_trace::{MemOp, ProfiledGenerator, TraceGenerator};
 
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn conventional_write_does_not_block_read_port() {
         let model = PortTimingModel::new(TimingConfig::default());
-        let mut c = ConventionalController::new(geometry(), ReplacementKind::Lru);
+        let mut c = RmwController::conventional(geometry(), ReplacementKind::Lru);
         let a = Address::new(0x40);
         let trace = Trace::new(vec![MemOp::write(a, 1), MemOp::read(a.offset(64))], 2);
         let report = model.run(&mut c, &trace);
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn buffer_hits_take_one_cycle() {
         let model = PortTimingModel::new(TimingConfig::default());
-        let mut c = WgRbController::new(geometry(), ReplacementKind::Lru);
+        let mut c = WgController::wg_rb(geometry(), ReplacementKind::Lru);
         let a = Address::new(0x40);
         let trace = Trace::new(
             vec![MemOp::write(a, 1), MemOp::read(a), MemOp::write(a, 2)],
@@ -359,7 +359,7 @@ mod tests {
         let g = CacheGeometry::paper_baseline();
         let rmw = model.run(&mut RmwController::new(g, ReplacementKind::Lru), &trace);
         let wg = model.run(&mut WgController::new(g, ReplacementKind::Lru), &trace);
-        let wgrb = model.run(&mut WgRbController::new(g, ReplacementKind::Lru), &trace);
+        let wgrb = model.run(&mut WgController::wg_rb(g, ReplacementKind::Lru), &trace);
         // Arrivals pace the run identically, so total cycles barely move;
         // the paper's §5.5 effects show up in latency and port pressure.
         assert!(wgrb.avg_read_latency() < rmw.avg_read_latency());

@@ -10,10 +10,7 @@
 
 use serde::Serialize;
 
-use cache8t_core::{
-    ArrayTraffic, Controller, ConventionalController, CountingPolicy, RmwController, WgController,
-    WgRbController,
-};
+use cache8t_core::{ArrayTraffic, Controller, CountingPolicy, RmwController, WgController};
 use cache8t_obs::{
     span, MetricRegistry, Sampler, SamplerConfig, SeriesSample, SpanGuard, TraceEvent,
 };
@@ -24,7 +21,7 @@ use cache8t_trace::{
     WorkloadProfile,
 };
 
-use crate::stream::ChunkSource;
+use crate::stream::{ChunkSource, PrefetchedChunks};
 
 /// How a run is set up: geometry, stream length and warm-up.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -138,6 +135,34 @@ impl BenchmarkResult {
     pub fn schemes(&self) -> [&SchemeResult; 4] {
         [&self.conventional, &self.rmw, &self.wg, &self.wgrb]
     }
+
+    /// Assembles a result from the four scheme results in canonical
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `schemes` yields exactly the four schemes of
+    /// [`SchemeKind::ALL`], in order.
+    pub fn assemble(
+        name: String,
+        stream: StreamStats,
+        schemes: impl IntoIterator<Item = SchemeResult>,
+    ) -> BenchmarkResult {
+        let mut schemes = schemes.into_iter();
+        let mut next = |kind: SchemeKind| {
+            let result = schemes.next().expect("four scheme results");
+            assert_eq!(result.scheme, kind.name(), "schemes out of order");
+            result
+        };
+        BenchmarkResult {
+            name,
+            stream,
+            conventional: next(SchemeKind::Conventional),
+            rmw: next(SchemeKind::Rmw),
+            wg: next(SchemeKind::Wg),
+            wgrb: next(SchemeKind::WgRb),
+        }
+    }
 }
 
 /// The four controller schemes every benchmark runs through, in the
@@ -173,14 +198,62 @@ impl SchemeKind {
         }
     }
 
-    /// Builds the controller for this scheme over `geometry`.
+    /// Builds the standalone (one-ledger) controller for this scheme over
+    /// `geometry`.
     pub fn build(self, geometry: CacheGeometry) -> Box<dyn Controller> {
         let lru = ReplacementKind::Lru;
         match self {
-            SchemeKind::Conventional => Box::new(ConventionalController::new(geometry, lru)),
+            SchemeKind::Conventional => Box::new(RmwController::conventional(geometry, lru)),
             SchemeKind::Rmw => Box::new(RmwController::new(geometry, lru)),
             SchemeKind::Wg => Box::new(WgController::new(geometry, lru)),
-            SchemeKind::WgRb => Box::new(WgRbController::new(geometry, lru)),
+            SchemeKind::WgRb => Box::new(WgController::wg_rb(geometry, lru)),
+        }
+    }
+}
+
+/// Schemes whose functional replay is identical — same hits, misses,
+/// replacement decisions and values — so one replay through a family
+/// controller yields all their results (one ledger each).
+///
+/// The two families split [`SchemeKind::ALL`] in canonical order, so
+/// replaying them in order yields the four results in canonical order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SchemeFamily {
+    /// 6T and RMW: no write buffer; only the cost of a store differs.
+    Array,
+    /// WG and WG+RB: one Set-Buffer; only when it is written back differs.
+    Grouping,
+}
+
+impl SchemeFamily {
+    /// Both families, in canonical order.
+    pub const ALL: [SchemeFamily; 2] = [SchemeFamily::Array, SchemeFamily::Grouping];
+
+    /// The family's label: the family controller's
+    /// [`Controller::name`], and the sweep's unit name.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchemeFamily::Array => "6T/RMW",
+            SchemeFamily::Grouping => "WG/WG+RB",
+        }
+    }
+
+    /// The member schemes, in ledger order.
+    pub fn schemes(self) -> &'static [SchemeKind] {
+        match self {
+            SchemeFamily::Array => &SchemeKind::ALL[..2],
+            SchemeFamily::Grouping => &SchemeKind::ALL[2..],
+        }
+    }
+
+    /// Builds the family controller over `geometry`: one functional core,
+    /// one ledger per member scheme. Its [`Controller::name`] is the
+    /// family's label.
+    pub fn build(self, geometry: CacheGeometry) -> Box<dyn Controller> {
+        let lru = ReplacementKind::Lru;
+        match self {
+            SchemeFamily::Array => Box::new(RmwController::family(geometry, lru)),
+            SchemeFamily::Grouping => Box::new(WgController::family(geometry, lru)),
         }
     }
 }
@@ -203,8 +276,8 @@ fn batching_enabled() -> bool {
 }
 
 /// The one replay driver: feeds an op stream through a controller with
-/// the standard warm-up protocol and, optionally, a continuous-telemetry
-/// [`Sampler`], then snapshots the outcome.
+/// the standard warm-up protocol and, optionally, continuous-telemetry
+/// [`Sampler`]s, then snapshots the outcome of every ledger.
 ///
 /// Call [`feed`](Replay::feed) with consecutive slices of the stream (a
 /// materialized trace once, a chunk source chunk by chunk) and then
@@ -219,48 +292,77 @@ fn batching_enabled() -> bool {
 /// when the stream is shorter), and a window boundary at the same index
 /// is sampled first — exactly where a per-op loop would put both.
 ///
+/// A family controller (one functional core, several scheme ledgers)
+/// takes one sampler per ledger. All of them share the cadence, so every
+/// ledger's windows close at the same op indices.
+///
 /// # Panics
 ///
-/// [`feed`](Replay::feed) and [`finish`](Replay::finish) panic if the
-/// sampler's writer fails: series I/O errors are environment errors at
-/// this layer; callers wanting recoverable I/O should write the returned
-/// series themselves.
+/// [`new`](Replay::new) panics unless `samplers` is empty or holds one
+/// sampler per ledger. [`feed`](Replay::feed) and
+/// [`finish`](Replay::finish) panic if a sampler's writer fails: series
+/// I/O errors are environment errors at this layer; callers wanting
+/// recoverable I/O should write the returned series themselves.
 pub struct Replay<'a> {
     controller: &'a mut dyn Controller,
-    /// `None` when unsampled, or when the controller has no registry to
-    /// sample.
-    sampler: Option<&'a mut Sampler>,
+    /// Empty when unsampled; else one per ledger.
+    samplers: &'a mut [Sampler],
     /// `None` on the per-op reference path.
     batch: Option<DecodedBatch>,
     /// Global index of the next op to replay.
     index: u64,
     warmup: u64,
     // The controller name is 'static, so it doubles as the span label:
-    // the span report breaks replay time down per scheme.
+    // the span report breaks replay time down per scheme (or family).
     _span: SpanGuard,
 }
 
 impl<'a> Replay<'a> {
     /// Starts a replay through `controller` whose counters reset before
-    /// the op with global index `warmup_ops`.
+    /// the op with global index `warmup_ops`, sampled by `samplers` (one
+    /// per ledger, or none).
     pub fn new(
         controller: &'a mut dyn Controller,
         warmup_ops: usize,
-        sampler: Option<&'a mut Sampler>,
+        samplers: &'a mut [Sampler],
     ) -> Self {
+        assert!(
+            samplers.is_empty() || samplers.len() == controller.ledger_count(),
+            "one sampler per ledger"
+        );
         let span = SpanGuard::enter(controller.name());
-        let mut sampler = sampler.filter(|_| controller.obs().is_some());
-        if let (Some(sampler), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
-            sampler.rebaseline(obs.registry());
-        }
-        let batch = batching_enabled().then(|| DecodedBatch::new(controller.cache().geometry()));
-        Replay {
+        let mut replay = Replay {
+            batch: batching_enabled().then(|| DecodedBatch::new(controller.cache().geometry())),
             controller,
-            sampler,
-            batch,
+            samplers,
             index: 0,
             warmup: warmup_ops as u64,
             _span: span,
+        };
+        replay.rebaseline();
+        replay
+    }
+
+    fn rebaseline(&mut self) {
+        for (i, sampler) in self.samplers.iter_mut().enumerate() {
+            sampler.rebaseline(self.controller.ledger(i).obs().registry());
+        }
+    }
+
+    /// Closes every sampler's current window — or, when `last`, its final
+    /// partial one — against its ledger's live registry and buffer
+    /// occupancy.
+    fn close_windows(&mut self, last: bool) {
+        self.controller.settle();
+        for (i, sampler) in self.samplers.iter_mut().enumerate() {
+            let registry = self.controller.ledger(i).obs().registry();
+            let occupancy = self.controller.occupancy(i).unwrap_or_default();
+            let written = if last {
+                sampler.finish(registry, occupancy)
+            } else {
+                sampler.sample(registry, occupancy)
+            };
+            written.expect("series writer failed");
         }
     }
 
@@ -274,17 +376,13 @@ impl<'a> Replay<'a> {
             while at < sub.len() {
                 if self.index == self.warmup {
                     self.controller.reset_counters();
-                    if let (Some(sampler), Some(obs)) =
-                        (self.sampler.as_deref_mut(), self.controller.obs())
-                    {
-                        sampler.rebaseline(obs.registry());
-                    }
+                    self.rebaseline();
                 }
                 let mut len = (sub.len() - at) as u64;
                 if self.warmup > self.index {
                     len = len.min(self.warmup - self.index);
                 }
-                if let Some(sampler) = self.sampler.as_deref() {
+                if let Some(sampler) = self.samplers.first() {
                     len = len.min(sampler.ops_to_boundary());
                 }
                 let end = at + len as usize;
@@ -298,68 +396,51 @@ impl<'a> Replay<'a> {
                 }
                 at = end;
                 self.index += len;
-                if let Some(sampler) = self.sampler.as_deref_mut() {
-                    if sampler.note_ops(len) {
-                        close_window(&*self.controller, sampler, false);
-                    }
+                let mut boundary = false;
+                for sampler in self.samplers.iter_mut() {
+                    boundary |= sampler.note_ops(len);
+                }
+                if boundary {
+                    self.close_windows(false);
                 }
             }
         }
-        if let Some(sampler) = self.sampler.as_deref_mut() {
+        for sampler in self.samplers.iter_mut() {
             // Completed windows become visible to live consumers at every
             // feed; this changes when bytes are written, never which.
             sampler.flush_writer().expect("series writer failed");
         }
     }
 
-    /// Flushes the controller, closes the sampler's final window, and
-    /// snapshots the outcome; the sampler's retained ring becomes
-    /// [`SchemeResult::series`].
-    pub fn finish(self) -> SchemeResult {
-        let controller = self.controller;
-        controller.flush();
-        let series = match self.sampler {
-            Some(sampler) => {
-                close_window(&*controller, sampler, true);
-                sampler.take_ring()
-            }
-            None => Vec::new(),
-        };
-        let (metrics, events, registry) = match controller.obs() {
-            Some(obs) => (
-                obs.registry().to_value(),
-                obs.tracer().events().copied().collect(),
-                obs.registry().clone(),
-            ),
-            None => (serde_json::Value::Null, Vec::new(), MetricRegistry::new()),
-        };
-        SchemeResult {
-            scheme: controller.name(),
-            array_accesses: controller.array_accesses(),
-            traffic: *controller.traffic(),
-            stats: *controller.stats(),
-            metrics,
-            events,
-            registry,
-            series,
+    /// Flushes the controller, closes the samplers' final windows, and
+    /// snapshots every ledger's outcome, in ledger order; each sampler's
+    /// retained ring becomes its ledger's [`SchemeResult::series`].
+    pub fn finish(mut self) -> Vec<SchemeResult> {
+        self.controller.flush();
+        if !self.samplers.is_empty() {
+            self.close_windows(true);
         }
+        (0..self.controller.ledger_count())
+            .map(|i| {
+                let ledger = self.controller.ledger(i);
+                let registry = ledger.obs().registry();
+                SchemeResult {
+                    scheme: ledger.name(),
+                    array_accesses: ledger.array_accesses(),
+                    traffic: *ledger.traffic(),
+                    stats: *ledger.stats(),
+                    metrics: registry.to_value(),
+                    events: ledger.obs().tracer().events().copied().collect(),
+                    registry: registry.clone(),
+                    series: self
+                        .samplers
+                        .get_mut(i)
+                        .map(Sampler::take_ring)
+                        .unwrap_or_default(),
+                }
+            })
+            .collect()
     }
-}
-
-/// Closes the sampler's current window — or, when `last`, its final
-/// partial one — against the controller's live registry and buffer
-/// occupancy.
-fn close_window(controller: &dyn Controller, sampler: &mut Sampler, last: bool) {
-    let Some(obs) = controller.obs() else {
-        return;
-    };
-    let occupancy = controller.occupancy().unwrap_or_default();
-    let written = if last {
-        sampler.finish(obs.registry(), occupancy)
-    } else {
-        sampler.sample(obs.registry(), occupancy)
-    };
-    written.expect("series writer failed");
 }
 
 /// The op stream a replay or a stream measurement consumes.
@@ -373,8 +454,8 @@ pub enum OpSource<'t, S> {
 }
 
 impl<S: ChunkSource> OpSource<'_, S> {
-    /// Feeds every op through `replay` and returns its result.
-    pub fn replay(self, mut replay: Replay<'_>) -> SchemeResult {
+    /// Feeds every op through `replay` and returns one result per ledger.
+    pub fn replay(self, mut replay: Replay<'_>) -> Vec<SchemeResult> {
         match self {
             OpSource::Trace(trace) => replay.feed(trace.ops()),
             OpSource::Chunks(mut chunks) => {
@@ -396,20 +477,49 @@ impl<S: ChunkSource> OpSource<'_, S> {
     }
 }
 
-/// Runs one scheme of one benchmark over an already-generated trace —
-/// the sweep engine's unit of parallel work.
-pub fn run_scheme_on_trace(scheme: SchemeKind, trace: &Trace, config: RunConfig) -> SchemeResult {
-    let mut controller = scheme.build(config.geometry);
-    let mut replay = Replay::new(controller.as_mut(), config.warmup_ops, None);
-    replay.feed(trace.ops());
-    replay.finish()
-}
-
-/// [`run_scheme_on_trace`] with series sampling: builds a ring-only
-/// sampler labelled `bench`/scheme and returns the windows in
-/// [`SchemeResult::series`]. Windows depend only on the trace and the
+/// Replays `source` through `controller`, whose ledgers account
+/// `schemes` in order; with `series`, each ledger gets a ring-only sampler
+/// labelled `bench`/scheme. Windows depend only on the trace and the
 /// cadence, never on wall-clock or scheduling, so sweep series stay
 /// byte-identical across `--jobs`.
+fn replay_schemes<S: ChunkSource>(
+    mut controller: Box<dyn Controller>,
+    schemes: &[SchemeKind],
+    source: OpSource<'_, S>,
+    config: RunConfig,
+    series: Option<(&str, SamplerConfig)>,
+) -> Vec<SchemeResult> {
+    let mut samplers: Vec<Sampler> = series.map_or_else(Vec::new, |(bench, sampler_config)| {
+        let sampler = |scheme: &SchemeKind| Sampler::new(bench, scheme.name(), sampler_config);
+        schemes.iter().map(sampler).collect()
+    });
+    let replay = Replay::new(controller.as_mut(), config.warmup_ops, &mut samplers);
+    source.replay(replay)
+}
+
+/// One scheme's standalone (one-ledger) replay of `source`.
+fn run_scheme<S: ChunkSource>(
+    scheme: SchemeKind,
+    source: OpSource<'_, S>,
+    config: RunConfig,
+    series: Option<(&str, SamplerConfig)>,
+) -> SchemeResult {
+    let controller = scheme.build(config.geometry);
+    replay_schemes(controller, &[scheme], source, config, series).swap_remove(0)
+}
+
+/// Runs one scheme of one benchmark over an already-generated trace.
+pub fn run_scheme_on_trace(scheme: SchemeKind, trace: &Trace, config: RunConfig) -> SchemeResult {
+    run_scheme(
+        scheme,
+        OpSource::<PrefetchedChunks>::Trace(trace),
+        config,
+        None,
+    )
+}
+
+/// [`run_scheme_on_trace`] with series sampling: the windows land in
+/// [`SchemeResult::series`], labelled `bench`/scheme.
 pub fn run_scheme_on_trace_sampled(
     scheme: SchemeKind,
     trace: &Trace,
@@ -417,26 +527,36 @@ pub fn run_scheme_on_trace_sampled(
     bench: &str,
     sampler_config: SamplerConfig,
 ) -> SchemeResult {
-    let mut sampler = Sampler::new(bench, scheme.name(), sampler_config);
-    let mut controller = scheme.build(config.geometry);
-    let mut replay = Replay::new(controller.as_mut(), config.warmup_ops, Some(&mut sampler));
-    replay.feed(trace.ops());
-    replay.finish()
+    let source = OpSource::<PrefetchedChunks>::Trace(trace);
+    run_scheme(scheme, source, config, Some((bench, sampler_config)))
 }
 
-/// Runs one scheme over a chunk stream — the sweep engine's streamed
-/// unit of parallel work, mirroring [`run_scheme_on_trace`].
+/// Runs one scheme over a chunk stream, mirroring
+/// [`run_scheme_on_trace`].
 pub fn run_scheme_on_stream<S: ChunkSource>(
     scheme: SchemeKind,
     chunks: S,
     config: RunConfig,
 ) -> SchemeResult {
-    let mut controller = scheme.build(config.geometry);
-    OpSource::Chunks(chunks).replay(Replay::new(controller.as_mut(), config.warmup_ops, None))
+    run_scheme(scheme, OpSource::Chunks(chunks), config, None)
+}
+
+/// Runs one scheme family over `source` — one functional replay, one
+/// result per member scheme in [`SchemeFamily::schemes`] order — the
+/// sweep engine's unit of parallel work. With `series`, each member gets
+/// a ring-only sampler labelled `bench`/scheme.
+pub fn run_family<S: ChunkSource>(
+    family: SchemeFamily,
+    source: OpSource<'_, S>,
+    config: RunConfig,
+    series: Option<(&str, SamplerConfig)>,
+) -> Vec<SchemeResult> {
+    let controller = family.build(config.geometry);
+    replay_schemes(controller, family.schemes(), source, config, series)
 }
 
 /// Measures the Figure-3/4/5 stream statistics of the measured region —
-/// the sweep engine's fifth per-benchmark unit of work.
+/// the sweep engine's third per-benchmark unit of work.
 pub fn measure_stream(trace: &Trace, config: RunConfig) -> StreamStats {
     let _span = span!("bench.stream_stats");
     let (ops, instructions) = trace.measured_region(config.warmup_ops);
@@ -484,24 +604,19 @@ pub fn generate_trace(profile: &WorkloadProfile, config: RunConfig) -> Trace {
     generator.collect(config.total_ops())
 }
 
-/// Runs one benchmark profile through all four controllers over an
-/// identical, pre-generated trace.
+/// Runs one benchmark profile through all four schemes over an
+/// identical, pre-generated trace: one replay per [`SchemeFamily`].
 pub fn run_benchmark_on_trace(
     profile: &WorkloadProfile,
     config: RunConfig,
     trace: &Trace,
 ) -> BenchmarkResult {
     let stream = measure_stream(trace, config);
-    let [conventional, rmw, wg, wgrb] =
-        SchemeKind::ALL.map(|scheme| run_scheme_on_trace(scheme, trace, config));
-    BenchmarkResult {
-        name: profile.name.clone(),
-        stream,
-        conventional,
-        rmw,
-        wg,
-        wgrb,
-    }
+    let schemes = SchemeFamily::ALL.iter().flat_map(|&family| {
+        let source = OpSource::<PrefetchedChunks>::Trace(trace);
+        run_family(family, source, config, None)
+    });
+    BenchmarkResult::assemble(profile.name.clone(), stream, schemes)
 }
 
 /// Runs one benchmark profile through all four controllers over an
@@ -674,17 +789,15 @@ mod tests {
         };
 
         let (materialized, mat_bytes) = run(&|c, s| {
-            let mut replay = Replay::new(c, config.warmup_ops, Some(s));
+            let mut replay = Replay::new(c, config.warmup_ops, std::slice::from_mut(s));
             replay.feed(trace.ops());
-            replay.finish()
+            replay.finish().swap_remove(0)
         });
         for chunk_ops in [1_000usize, 4_096] {
             let (streamed, stream_bytes) = run(&|c, s| {
-                OpSource::Chunks(chunks_for(&p, config, chunk_ops)).replay(Replay::new(
-                    c,
-                    config.warmup_ops,
-                    Some(s),
-                ))
+                OpSource::Chunks(chunks_for(&p, config, chunk_ops))
+                    .replay(Replay::new(c, config.warmup_ops, std::slice::from_mut(s)))
+                    .swap_remove(0)
             });
             assert_eq!(
                 mat_bytes, stream_bytes,
@@ -750,9 +863,10 @@ mod tests {
         };
         let mut sampler = Sampler::new("mcf", "WG", sampler_config);
         let mut controller = SchemeKind::Wg.build(config.geometry);
-        let mut replay = Replay::new(controller.as_mut(), config.warmup_ops, Some(&mut sampler));
+        let samplers = std::slice::from_mut(&mut sampler);
+        let mut replay = Replay::new(controller.as_mut(), config.warmup_ops, samplers);
         replay.feed(trace.ops());
-        let result = replay.finish();
+        let result = replay.finish().swap_remove(0);
         let windows = config.total_ops() as u64 / 64;
         assert!(sampler.emitted() >= windows, "{}", sampler.emitted());
         assert_eq!(result.series.len(), 32, "ring must stay at capacity");

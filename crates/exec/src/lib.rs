@@ -31,9 +31,9 @@ pub mod stream;
 pub mod sweep;
 
 pub use experiment::{
-    average, run_benchmark, run_benchmark_on_trace, run_scheme_on_stream, run_scheme_on_trace,
-    run_scheme_on_trace_sampled, run_suite, BenchmarkResult, OpSource, Replay, RunConfig,
-    SchemeKind, SchemeResult,
+    average, run_benchmark, run_benchmark_on_trace, run_family, run_scheme_on_stream,
+    run_scheme_on_trace, run_scheme_on_trace_sampled, run_suite, BenchmarkResult, OpSource, Replay,
+    RunConfig, SchemeFamily, SchemeKind, SchemeResult,
 };
 pub use pool::{
     run_jobs, run_jobs_cancellable, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress,
@@ -47,5 +47,5 @@ pub use stream::{ChunkSource, PrefetchedChunks};
 pub use sweep::{
     document_with_benchmarks, merge_documents, metrics_document, run_suites, run_sweep,
     to_document, BenchmarkEvent, BenchmarkHook, GeometryPoint, GeometrySweep, ProgressHook, Shard,
-    SweepFailure, SweepOptions, SweepOutcome, SweepPlan,
+    SweepFailure, SweepOptions, SweepOutcome, SweepPlan, UNITS_PER_BENCHMARK,
 };

@@ -2,10 +2,10 @@
 //!
 //! A [`SweepPlan`] is the cross product of workloads × geometries ×
 //! schemes at one (ops, seed) point. [`run_sweep`] expands it into
-//! fine-grained unit jobs — one per (geometry, benchmark, scheme) plus
-//! one stream-statistics unit per (geometry, benchmark) — and executes
-//! them on the work-stealing pool over a shared, generate-once
-//! [`TraceStore`].
+//! fine-grained unit jobs — three per (geometry, benchmark): the stream
+//! statistics and one replay per [`SchemeFamily`] (6T+RMW, WG+WG+RB),
+//! each yielding its member schemes' results — and executes them on the
+//! work-stealing pool over a shared, generate-once [`TraceStore`].
 //!
 //! ## Determinism guarantee
 //!
@@ -25,12 +25,14 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
-use cache8t_obs::{MetricRegistry, Sampler, SamplerConfig, SeriesSample, SpanStat, TimelineSpan};
+use cache8t_obs::{MetricRegistry, SamplerConfig, SeriesSample, SpanStat, TimelineSpan};
 use cache8t_sim::CacheGeometry;
 use cache8t_trace::analyze::StreamStats;
 use cache8t_trace::{profiles, WorkloadProfile};
 
-use crate::experiment::{BenchmarkResult, OpSource, Replay, RunConfig, SchemeKind, SchemeResult};
+use crate::experiment::{
+    run_family, BenchmarkResult, OpSource, RunConfig, SchemeFamily, SchemeKind, SchemeResult,
+};
 use crate::pool::{run_jobs_cancellable, CancelToken, ExecOptions, JobOutcome, JobProgress};
 use crate::store::TraceStore;
 use crate::stream::PrefetchedChunks;
@@ -101,6 +103,15 @@ impl SweepPlan {
     /// Benchmarks in the full plan (geometries × profiles).
     pub fn benchmark_count(&self) -> usize {
         self.geometries.len() * self.profiles.len()
+    }
+
+    /// Scheme-replayed ops per unit job, averaged over a benchmark's
+    /// jobs: every scheme replays the whole trace (warm-up included), and
+    /// a benchmark's [`UNITS_PER_BENCHMARK`] jobs share that work. Live
+    /// throughput ([`JobProgress::mops`]) is computed from this, so it
+    /// counts scheme replays, however they are grouped into jobs.
+    pub fn ops_per_job(&self) -> f64 {
+        (SchemeKind::ALL.len() * self.config(0).total_ops()) as f64 / UNITS_PER_BENCHMARK as f64
     }
 }
 
@@ -175,7 +186,7 @@ pub type BenchmarkHookFn = dyn Fn(BenchmarkEvent<'_>) + Send + Sync;
 /// keep deriving `Debug`/`Clone`.
 ///
 /// The hook runs on worker threads, once per benchmark, as soon as the
-/// benchmark's fifth unit job lands (completion order, *not* plan
+/// benchmark's last unit job lands (completion order, *not* plan
 /// order). It is the checkpoint-journal attachment point: persisting
 /// each event makes every completed benchmark durable the moment it
 /// finishes, independent of whether the sweep itself survives.
@@ -367,28 +378,28 @@ impl SweepOutcome {
     }
 }
 
-/// The unit jobs of one benchmark: its stream statistics and the four
-/// controller schemes.
-const UNITS_PER_BENCHMARK: usize = 1 + SchemeKind::ALL.len();
+/// The unit jobs of one benchmark: its stream statistics and one replay
+/// per scheme family.
+pub const UNITS_PER_BENCHMARK: usize = 1 + SchemeFamily::ALL.len();
 
 #[derive(Debug, Clone, Copy)]
 enum Unit {
     Stream,
-    Scheme(SchemeKind),
+    Family(SchemeFamily),
 }
 
 impl Unit {
     fn of(index: usize) -> Unit {
         match index {
             0 => Unit::Stream,
-            i => Unit::Scheme(SchemeKind::ALL[i - 1]),
+            i => Unit::Family(SchemeFamily::ALL[i - 1]),
         }
     }
 
     fn name(self) -> &'static str {
         match self {
             Unit::Stream => "stream",
-            Unit::Scheme(kind) => kind.name(),
+            Unit::Family(family) => family.name(),
         }
     }
 }
@@ -396,7 +407,7 @@ impl Unit {
 #[derive(Debug)]
 enum UnitResult {
     Stream(StreamStats),
-    Scheme(Box<SchemeResult>),
+    Schemes(Vec<SchemeResult>),
 }
 
 /// Per-benchmark staging area for the live completion hook: unit jobs
@@ -406,32 +417,30 @@ enum UnitResult {
 #[derive(Default)]
 struct BenchAccum {
     stream: Option<StreamStats>,
-    /// One slot per scheme, in [`SchemeKind::ALL`] order.
-    schemes: Vec<Option<SchemeResult>>,
+    /// One slot per family, in [`SchemeFamily::ALL`] order.
+    families: [Option<Vec<SchemeResult>>; SchemeFamily::ALL.len()],
     fired: bool,
 }
 
 impl BenchAccum {
-    /// Stages `result`; returns the full set when this insert completed
-    /// it. First write wins per slot, so a retried unit job that
-    /// partially ran before panicking cannot double-insert.
-    fn insert(&mut self, result: &UnitResult) -> Option<BenchAccum> {
-        if self.schemes.is_empty() {
-            self.schemes = (0..SchemeKind::ALL.len()).map(|_| None).collect();
-        }
-        match result {
-            UnitResult::Stream(stats) => {
+    /// Stages `result` of `unit`; returns the full set when this insert
+    /// completed it. First write wins per slot, so a retried unit job
+    /// that partially ran before panicking cannot double-insert.
+    fn insert(&mut self, unit: Unit, result: &UnitResult) -> Option<BenchAccum> {
+        match (unit, result) {
+            (Unit::Stream, UnitResult::Stream(stats)) => {
                 self.stream.get_or_insert(*stats);
             }
-            UnitResult::Scheme(result) => {
-                let index = SchemeKind::ALL
+            (Unit::Family(family), UnitResult::Schemes(results)) => {
+                let index = SchemeFamily::ALL
                     .iter()
-                    .position(|k| k.name() == result.scheme)
-                    .expect("scheme result names a known kind");
-                self.schemes[index].get_or_insert_with(|| (**result).clone());
+                    .position(|&f| f == family)
+                    .expect("a known family");
+                self.families[index].get_or_insert_with(|| results.clone());
             }
+            _ => unreachable!("unit and result kinds match"),
         }
-        let complete = self.stream.is_some() && self.schemes.iter().all(Option::is_some);
+        let complete = self.stream.is_some() && self.families.iter().all(Option::is_some);
         if !complete || self.fired {
             return None;
         }
@@ -468,11 +477,11 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         }
     }
 
-    // Live per-benchmark assembly for the completion hook: the five
-    // unit jobs of benchmark i occupy specs[i*5 .. i*5+5], so spec
-    // index / 5 addresses the benchmark's accumulator. Jobs clone
-    // their result in; whichever worker lands the fifth piece fires
-    // the hook. Only paid when a hook is installed.
+    // Live per-benchmark assembly for the completion hook: the unit
+    // jobs of benchmark i occupy specs[i*U .. i*U+U] (U =
+    // UNITS_PER_BENCHMARK), so spec index / U addresses the benchmark's
+    // accumulator. Jobs clone their result in; whichever worker lands
+    // the last piece fires the hook. Only paid when a hook is installed.
     let accumulators: Vec<Mutex<BenchAccum>> = if options.on_benchmark.is_some() {
         (0..specs.len() / UNITS_PER_BENCHMARK)
             .map(|_| Mutex::new(BenchAccum::default()))
@@ -525,15 +534,11 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                 };
                 let result = match unit {
                     Unit::Stream => UnitResult::Stream(source.measure(config)),
-                    Unit::Scheme(kind) => {
-                        let mut sampler = series.map(|sampler_config| {
-                            let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
-                            Sampler::new(&bench, kind.name(), sampler_config)
-                        });
-                        let mut controller = kind.build(config.geometry);
-                        let replay =
-                            Replay::new(controller.as_mut(), config.warmup_ops, sampler.as_mut());
-                        UnitResult::Scheme(Box::new(source.replay(replay)))
+                    Unit::Family(family) => {
+                        let bench = series
+                            .map(|_| format!("{}/{}", plan.geometries[g].label, profile.name));
+                        let series = bench.as_deref().zip(series);
+                        UnitResult::Schemes(run_family(family, source, config, series))
                     }
                 };
                 if let Some(hook) = hook {
@@ -541,19 +546,13 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                     let assembled = accum
                         .lock()
                         .expect("benchmark accumulator poisoned")
-                        .insert(&result);
-                    if let Some(mut schemes) = assembled {
-                        let stream = schemes.stream.take().expect("stream present");
-                        let mut take =
-                            |i: usize| schemes.schemes[i].take().expect("scheme present");
-                        let assembled = BenchmarkResult {
-                            name: profile.name.clone(),
-                            stream,
-                            conventional: take(0),
-                            rmw: take(1),
-                            wg: take(2),
-                            wgrb: take(3),
-                        };
+                        .insert(unit, &result);
+                    if let Some(parts) = assembled {
+                        let assembled = BenchmarkResult::assemble(
+                            profile.name.clone(),
+                            parts.stream.expect("stream present"),
+                            parts.families.into_iter().flatten().flatten(),
+                        );
                         let completed = completed_benchmarks
                             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
                             + 1;
@@ -583,7 +582,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     // recent-jobs mean rather than the all-time average: replayed ops
     // per microsecond across the workers is exactly Mops/s, and the
     // window makes the figure track the current benchmark mix.
-    let ops_per_job = plan.config(0).total_ops() as f64;
+    let ops_per_job = plan.ops_per_job();
     let observer = |p: JobProgress| {
         if let Some(line) = &progress {
             line.tick_rate(p.done, p.failed, p.eta(), p.mops(ops_per_job));
@@ -626,7 +625,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         };
         match outcome {
             JobOutcome::Completed(UnitResult::Stream(stats)) => slot.3 = Some(stats),
-            JobOutcome::Completed(UnitResult::Scheme(result)) => slot.2.push(*result),
+            JobOutcome::Completed(UnitResult::Schemes(results)) => slot.2.extend(results),
             JobOutcome::Failed { message, attempts } => failures.push(SweepFailure {
                 geometry: plan.geometries[g].label.clone(),
                 benchmark: plan.profiles[b].name.clone(),
@@ -717,32 +716,25 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     }
 }
 
-/// Assembles one benchmark's five unit results into a
-/// `BenchmarkResult`, dropping it (the failure is already recorded)
-/// when any unit is missing.
+/// Assembles one benchmark's unit results into a `BenchmarkResult`,
+/// dropping it (the failure is already recorded) when any unit is
+/// missing.
 fn flush_benchmark(
     geometries: &mut [GeometrySweep],
     plan: &SweepPlan,
     pending: Option<(usize, usize, Vec<SchemeResult>, Option<StreamStats>)>,
 ) {
-    let Some((g, b, mut schemes, stream)) = pending else {
+    let Some((g, b, schemes, stream)) = pending else {
         return;
     };
     let (Some(stream), true) = (stream, schemes.len() == SchemeKind::ALL.len()) else {
         return;
     };
-    let wgrb = schemes.pop().expect("four schemes");
-    let wg = schemes.pop().expect("three schemes");
-    let rmw = schemes.pop().expect("two schemes");
-    let conventional = schemes.pop().expect("one scheme");
-    geometries[g].results[b] = Some(BenchmarkResult {
-        name: plan.profiles[b].name.clone(),
+    geometries[g].results[b] = Some(BenchmarkResult::assemble(
+        plan.profiles[b].name.clone(),
         stream,
-        conventional,
-        rmw,
-        wg,
-        wgrb,
-    });
+        schemes,
+    ));
 }
 
 /// Convenience for the figure binaries: runs the full suite over
@@ -980,6 +972,24 @@ mod tests {
         for slot in 0..10 {
             assert_ne!(a.selects(slot), b.selects(slot));
         }
+    }
+
+    #[test]
+    fn ops_per_job_spreads_every_scheme_replay_over_the_jobs() {
+        let plan = SweepPlan::suite(vec![GeometryPoint::named("baseline").unwrap()], 30_000, 1);
+        // 33k ops (10 % warm-up) x 4 schemes, over 3 jobs per benchmark.
+        assert_eq!(UNITS_PER_BENCHMARK, 3);
+        assert_eq!(plan.ops_per_job(), 44_000.0);
+        // The rate then counts scheme replays: a worker finishing one
+        // job per millisecond replays 44 M scheme-ops per second.
+        let progress = JobProgress {
+            done: 10,
+            failed: 0,
+            total: 75,
+            mean_job_us: 1_000,
+            workers: 1,
+        };
+        assert_eq!(progress.mops(plan.ops_per_job()), Some(44.0));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex};
 use cache8t_exec::{
     document_with_benchmarks, run_jobs, run_sweep, to_document, BenchmarkHook, CancelToken,
     ExecOptions, GeometryPoint, JobOutcome, SweepOptions, SweepPlan, TraceStore,
+    UNITS_PER_BENCHMARK,
 };
 use cache8t_trace::profiles;
 
@@ -80,9 +81,10 @@ fn sweep_reports_a_poisoned_benchmark_and_keeps_the_rest() {
         },
     );
 
-    // All five units of the poisoned benchmark fail with the generator's
-    // message; nothing else is affected.
-    assert_eq!(outcome.failures.len(), 5);
+    // All three units of the poisoned benchmark (stream statistics and
+    // the two scheme-family replays) fail with the generator's message;
+    // nothing else is affected.
+    assert_eq!(outcome.failures.len(), UNITS_PER_BENCHMARK);
     for failure in &outcome.failures {
         assert_eq!(failure.benchmark, "poisoned");
         assert_eq!(failure.geometry, "baseline");
@@ -238,7 +240,7 @@ fn cancelled_sweep_returns_partial_results() {
         },
     );
     assert!(outcome.failures.is_empty());
-    assert_eq!(outcome.cancelled, 10, "2 benchmarks x 5 units drained");
+    assert_eq!(outcome.cancelled, 6, "2 benchmarks x 3 units drained");
     for g in &outcome.geometries {
         assert!(g.results.iter().all(Option::is_none));
     }
@@ -247,7 +249,7 @@ fn cancelled_sweep_returns_partial_results() {
         .get("counters")
         .and_then(|c| c.get("sweep.jobs_cancelled"))
         .and_then(serde_json::Value::as_u64);
-    assert_eq!(cancelled, Some(10));
+    assert_eq!(cancelled, Some(6));
 }
 
 #[test]
@@ -263,7 +265,7 @@ fn scheduler_telemetry_accounts_for_every_job() {
             .unwrap_or_else(|| panic!("missing counter {name}"))
     };
     let jobs = counter("sweep.jobs");
-    assert_eq!(jobs, 10, "2 benchmarks x 5 units");
+    assert_eq!(jobs, 6, "2 benchmarks x 3 units");
     // Per-worker job counts must add up to the batch total.
     let per_worker: u64 = (0..3)
         .map(|i| counter(&format!("sweep.worker.{i}.jobs")))
@@ -345,12 +347,12 @@ fn streamed_sweep_reports_stream_counters() {
     };
     assert!(counter("sweep.trace.stream_chunks") > 0, "streaming ran");
     assert_eq!(counter("sweep.trace.generated"), 0, "nothing materialized");
-    // 5 units consumed the same chunk sequence; most reads must have
+    // 3 units consumed the same chunk sequence; most reads must have
     // been window hits or private-generator memoization, so generation
-    // plus restarts stays well under 5x the chunk count.
+    // plus restarts stays well under 3x the chunk count.
     let chunks_per_trace = 4_400u64.div_ceil(1_000);
     assert!(
-        counter("sweep.trace.stream_chunks") < 5 * 2 * chunks_per_trace,
+        counter("sweep.trace.stream_chunks") < 3 * 2 * chunks_per_trace,
         "dedup failed: {} chunks generated",
         counter("sweep.trace.stream_chunks")
     );

@@ -249,6 +249,25 @@ impl MetricRegistry {
         self.histograms[id.0].value.merge(other);
     }
 
+    /// Copies the values behind `counters` and `histograms` from
+    /// `other`, which must have registered them under the same ids (as
+    /// registries built by the same registration sequence do).
+    pub fn copy_from(
+        &mut self,
+        other: &MetricRegistry,
+        counters: &[CounterId],
+        histograms: &[HistogramId],
+    ) {
+        for &id in counters {
+            self.counters[id.0].value = other.counters[id.0].value;
+        }
+        for &id in histograms {
+            self.histograms[id.0]
+                .value
+                .clone_from(&other.histograms[id.0].value);
+        }
+    }
+
     /// Current value of the counter behind `id`.
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].value

@@ -787,7 +787,7 @@ impl ServerState {
         };
         let on_progress = {
             let job = Arc::clone(job);
-            let ops_per_job = plan.config(0).total_ops() as f64;
+            let ops_per_job = plan.ops_per_job();
             ProgressHook::new(move |p| {
                 job.set_progress(ProgressSnapshot {
                     done: p.done,

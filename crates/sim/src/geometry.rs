@@ -200,10 +200,14 @@ impl CacheGeometry {
     /// ranges and returns which range `addr`'s set falls in (always
     /// `< buckets`). Caches with fewer sets than buckets simply leave
     /// the high buckets unused.
+    ///
+    /// `num_sets` is a power of two, so the range division is a shift.
     #[inline]
     pub fn heat_bucket_of(&self, addr: Address, buckets: usize) -> usize {
         debug_assert!(buckets > 0);
-        ((self.set_index_of(addr) as u128 * buckets as u128) / self.num_sets as u128) as usize
+        let scaled = self.set_index_of(addr).checked_mul(buckets as u64);
+        debug_assert!(scaled.is_some(), "set index x buckets overflows u64");
+        (scaled.unwrap_or(u64::MAX) >> self.index_bits) as usize
     }
 
     /// Reconstructs the block base address of a (tag, set index) pair.
@@ -323,6 +327,27 @@ mod tests {
         // A single-set cache puts everything in bucket 0.
         let tiny = CacheGeometry::new(128, 4, 32).unwrap();
         assert_eq!(tiny.heat_bucket_of(Address::new(0xffff_ff00), buckets), 0);
+    }
+
+    #[test]
+    fn heat_bucket_shift_matches_the_division() {
+        let geometries = [
+            CacheGeometry::paper_baseline(),
+            CacheGeometry::paper_large_blocks(),
+            CacheGeometry::paper_small(),
+            CacheGeometry::paper_large(),
+            CacheGeometry::new(128, 4, 32).unwrap(),
+        ];
+        for g in geometries {
+            for buckets in [1usize, 3, 16, 64] {
+                for set in 0..g.num_sets() {
+                    let addr = g.block_base_from_parts(0x5a, set);
+                    let divided =
+                        (u128::from(set) * buckets as u128 / u128::from(g.num_sets())) as usize;
+                    assert_eq!(g.heat_bucket_of(addr, buckets), divided, "{g:?} set {set}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -94,7 +94,9 @@ pub struct StreamStatsAccumulator {
     writes: u64,
     silent: u64,
     shadow: FastMap<u64, u64>,
-    sets: FastSet<u64>,
+    /// One bit per cache set: set indices are always `< num_sets`.
+    sets: Vec<u64>,
+    distinct_sets: u64,
     blocks: FastSet<u64>,
     pair_counts: [[u64; 2]; 2],
     prev_set: u64,
@@ -111,7 +113,8 @@ impl StreamStatsAccumulator {
             writes: 0,
             silent: 0,
             shadow: FastMap::default(),
-            sets: FastSet::default(),
+            sets: vec![0; geometry.num_sets().div_ceil(64) as usize],
+            distinct_sets: 0,
             blocks: FastSet::default(),
             pair_counts: [[0u64; 2]; 2],
             prev_set: u64::MAX,
@@ -132,14 +135,15 @@ impl StreamStatsAccumulator {
                 self.reads += 1;
             } else {
                 self.writes += 1;
-                let old = self.shadow.get(&op.addr.raw()).copied().unwrap_or(0);
+                let old = self.shadow.insert(op.addr.raw(), op.value).unwrap_or(0);
                 if old == op.value {
                     self.silent += 1;
                 }
-                self.shadow.insert(op.addr.raw(), op.value);
             }
             let set = self.geometry.set_index_of(op.addr);
-            self.sets.insert(set);
+            let (word, bit) = ((set / 64) as usize, 1u64 << (set % 64));
+            self.distinct_sets += u64::from(self.sets[word] & bit == 0);
+            self.sets[word] |= bit;
             self.blocks.insert(self.geometry.block_base(op.addr).raw());
             if self.ops > 0 && set == self.prev_set {
                 self.pair_counts[usize::from(self.prev_write)][usize::from(op.is_write())] += 1;
@@ -174,7 +178,7 @@ impl StreamStatsAccumulator {
             } else {
                 self.silent as f64 / self.writes as f64
             },
-            distinct_sets: self.sets.len() as u64,
+            distinct_sets: self.distinct_sets,
             distinct_blocks: self.blocks.len() as u64,
         }
     }

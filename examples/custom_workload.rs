@@ -11,7 +11,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use cache8t::core::{Controller, RmwController, WgController, WgRbController};
+use cache8t::core::{Controller, RmwController, WgController};
 use cache8t::cpu::{PortTimingModel, TimingConfig};
 use cache8t::sim::{CacheGeometry, ReplacementKind};
 use cache8t::trace::analyze::StreamStats;
@@ -50,7 +50,7 @@ fn main() {
 
     let mut rmw = RmwController::new(geometry, ReplacementKind::Lru);
     let mut wg = WgController::new(geometry, ReplacementKind::Lru);
-    let mut wgrb = WgRbController::new(geometry, ReplacementKind::Lru);
+    let mut wgrb = WgController::wg_rb(geometry, ReplacementKind::Lru);
     let model = PortTimingModel::new(TimingConfig::default());
     let t_rmw = model.run(&mut rmw, &trace);
     let t_wg = model.run(&mut wg, &trace);

@@ -11,7 +11,7 @@
 //! cargo run --release --example dvfs_explorer
 //! ```
 
-use cache8t::core::{Controller, RmwController, WgRbController};
+use cache8t::core::{Controller, RmwController, WgController};
 use cache8t::energy::dvfs::DvfsLadder;
 use cache8t::energy::power::SchemeEnergy;
 use cache8t::energy::{ArrayModel, CellKind, TechnologyNode};
@@ -55,7 +55,7 @@ fn main() {
     let trace = ProfiledGenerator::new(profile, geometry, 3).collect(300_000);
 
     let mut rmw = RmwController::new(geometry, ReplacementKind::Lru);
-    let mut wgrb = WgRbController::new(geometry, ReplacementKind::Lru);
+    let mut wgrb = WgController::wg_rb(geometry, ReplacementKind::Lru);
     for op in &trace {
         rmw.access(op);
         wgrb.access(op);

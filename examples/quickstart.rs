@@ -7,9 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cache8t::core::{
-    Controller, ConventionalController, RmwController, WgController, WgRbController,
-};
+use cache8t::core::{Controller, RmwController, WgController};
 use cache8t::sim::{CacheGeometry, ReplacementKind};
 use cache8t::trace::{profiles, ProfiledGenerator, TraceGenerator};
 
@@ -39,10 +37,10 @@ fn main() {
 
     // Replay the same trace through every controller.
     let mut controllers: Vec<Box<dyn Controller>> = vec![
-        Box::new(ConventionalController::new(geometry, ReplacementKind::Lru)),
+        Box::new(RmwController::conventional(geometry, ReplacementKind::Lru)),
         Box::new(RmwController::new(geometry, ReplacementKind::Lru)),
         Box::new(WgController::new(geometry, ReplacementKind::Lru)),
-        Box::new(WgRbController::new(geometry, ReplacementKind::Lru)),
+        Box::new(WgController::wg_rb(geometry, ReplacementKind::Lru)),
     ];
     let mut rmw_accesses = None;
     for controller in &mut controllers {

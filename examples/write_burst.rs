@@ -21,7 +21,7 @@
 //! cargo run --release --example write_burst
 //! ```
 
-use cache8t::core::{Controller, RmwController, WgController, WgRbController};
+use cache8t::core::{Controller, RmwController, WgController};
 use cache8t::sim::{Address, CacheGeometry, ReplacementKind};
 use cache8t::trace::{MemOp, PointerChase, StridedLoop, Trace, TraceGenerator};
 
@@ -31,7 +31,7 @@ fn replay(trace: &Trace) -> Vec<(String, u64)> {
     let mut controllers: Vec<Box<dyn Controller>> = vec![
         Box::new(RmwController::new(geometry, ReplacementKind::Lru)),
         Box::new(WgController::new(geometry, ReplacementKind::Lru)),
-        Box::new(WgRbController::new(geometry, ReplacementKind::Lru)),
+        Box::new(WgController::wg_rb(geometry, ReplacementKind::Lru)),
     ];
     for controller in &mut controllers {
         for op in trace {

@@ -18,8 +18,7 @@ use std::process::ExitCode;
 
 use cache8t::conform::{self, fuzz, ConformConfig, ConformReport, SchemeId};
 use cache8t::core::{
-    CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
+    CacheBackend, CoalescingController, Controller, RmwController, WgController, WgOptions,
 };
 use cache8t::exec::{
     average, merge_documents, metrics_document, run_jobs, run_sweep, to_document, BenchmarkResult,
@@ -321,10 +320,10 @@ fn build_controller(
         None => CacheBackend::new(geometry, lru),
     };
     Ok(match scheme {
-        "6t" => Box::new(ConventionalController::from_backend(backend())),
+        "6t" => Box::new(RmwController::conventional_from_backend(backend())),
         "rmw" => Box::new(RmwController::from_backend(backend())),
         "wg" => Box::new(WgController::from_backend(backend(), WgOptions::wg())),
-        "wg+rb" | "wgrb" => Box::new(WgRbController::from_backend(backend())),
+        "wg+rb" | "wgrb" => Box::new(WgController::from_backend(backend(), WgOptions::wg_rb())),
         other => {
             if let Some(entries) = other.strip_prefix("coalesce:") {
                 let entries: usize = entries
@@ -462,7 +461,11 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         None => None,
     };
     timeline::begin("replay", "sim");
-    source.replay(Replay::new(controller.as_mut(), 0, series_sampler.as_mut()));
+    source.replay(Replay::new(
+        controller.as_mut(),
+        0,
+        series_sampler.as_mut_slice(),
+    ));
     timeline::end("replay", "sim");
     if let (Some(path), Some(sampler)) = (&o.series_out, &series_sampler) {
         eprintln!(
@@ -601,9 +604,9 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
         for _ in 0..o.reps {
             let mut controller = build_controller(scheme, o.cache, o.l2)?;
             let start = std::time::Instant::now();
-            let mut replay = Replay::new(controller.as_mut(), trace.len(), None);
+            let mut replay = Replay::new(controller.as_mut(), trace.len(), &mut []);
             replay.feed(trace.ops());
-            let result = replay.finish();
+            let result = replay.finish().swap_remove(0);
             let elapsed = start.elapsed().as_secs_f64();
             // Keep the run observable so the replay loop cannot be
             // optimized out from under the timer.
@@ -679,7 +682,7 @@ fn bench_core_kernels(
     // `probe`: the branchless multi-way tag search over a warmed cache,
     // fed from the decoded set/tag columns like the controllers feed it.
     let mut warm = build_controller("6t", o.cache, o.l2)?;
-    Replay::new(warm.as_mut(), trace.len(), None).feed(trace.ops());
+    Replay::new(warm.as_mut(), trace.len(), &mut []).feed(trace.ops());
     let probe_best = best_of(o.reps, || {
         let cache = warm.cache();
         let mut found = 0u64;

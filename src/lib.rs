@@ -27,7 +27,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use cache8t::core::{Controller, RmwController, WgRbController};
+//! use cache8t::core::{Controller, RmwController, WgController};
 //! use cache8t::sim::{CacheGeometry, ReplacementKind};
 //! use cache8t::trace::{profiles, ProfiledGenerator, TraceGenerator};
 //!
@@ -36,7 +36,7 @@
 //! let trace = ProfiledGenerator::new(profile, geometry, 1).collect(20_000);
 //!
 //! let mut rmw = RmwController::new(geometry, ReplacementKind::Lru);
-//! let mut wgrb = WgRbController::new(geometry, ReplacementKind::Lru);
+//! let mut wgrb = WgController::wg_rb(geometry, ReplacementKind::Lru);
 //! for op in &trace {
 //!     rmw.access(op);
 //!     wgrb.access(op);

@@ -14,8 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use cache8t::conform::SchemeId;
 use cache8t::core::{
-    CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
+    CacheBackend, CoalescingController, Controller, RmwController, WgController, WgOptions,
 };
 use cache8t::exec::Replay;
 use cache8t::obs::sampler::{Sampler, SamplerConfig};
@@ -25,10 +24,10 @@ use cache8t::trace::{DecodedBatch, ProfiledGenerator, Trace, TraceGenerator};
 fn build(id: SchemeId) -> Box<dyn Controller> {
     let backend = CacheBackend::new(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
     match id {
-        SchemeId::SixT => Box::new(ConventionalController::from_backend(backend)),
+        SchemeId::SixT => Box::new(RmwController::conventional_from_backend(backend)),
         SchemeId::Rmw => Box::new(RmwController::from_backend(backend)),
         SchemeId::Wg => Box::new(WgController::from_backend(backend, WgOptions::wg())),
-        SchemeId::WgRb => Box::new(WgRbController::from_backend(backend)),
+        SchemeId::WgRb => Box::new(WgController::from_backend(backend, WgOptions::wg_rb())),
         SchemeId::Coalesce(entries) => {
             Box::new(CoalescingController::from_backend(backend, entries))
         }
@@ -87,7 +86,7 @@ fn replay_per_op(
         if let Some(sampler) = sampler.as_deref_mut() {
             if sampler.note_ops(1) {
                 let obs = controller.obs().expect("every scheme is instrumented");
-                let occupancy = controller.occupancy().unwrap_or_default();
+                let occupancy = controller.occupancy(0).unwrap_or_default();
                 sampler.sample(obs.registry(), occupancy).unwrap();
             }
         }
@@ -95,7 +94,7 @@ fn replay_per_op(
     controller.flush();
     if let Some(sampler) = sampler {
         let obs = controller.obs().expect("every scheme is instrumented");
-        let occupancy = controller.occupancy().unwrap_or_default();
+        let occupancy = controller.occupancy(0).unwrap_or_default();
         sampler.finish(obs.registry(), occupancy).unwrap();
     }
 }
@@ -171,7 +170,7 @@ fn replay_helper_matches_per_op_for_all_schemes() {
 
         // The whole trace fed once, as a materialized replay does.
         let mut whole = build(id);
-        let mut replay = Replay::new(whole.as_mut(), WARMUP_OPS, None);
+        let mut replay = Replay::new(whole.as_mut(), WARMUP_OPS, &mut []);
         replay.feed(trace.ops());
         replay.finish();
         assert_eq!(
@@ -184,7 +183,7 @@ fn replay_helper_matches_per_op_for_all_schemes() {
         // warm-up boundary inside the first slice and off every
         // 8_192-op sub-batch seam.
         let mut chunked = build(id);
-        let mut replay = Replay::new(chunked.as_mut(), WARMUP_OPS, None);
+        let mut replay = Replay::new(chunked.as_mut(), WARMUP_OPS, &mut []);
         for sub in trace.ops().chunks(7_000) {
             replay.feed(sub);
         }
@@ -222,7 +221,9 @@ fn warmup_boundary_cases_match_per_op() {
                 let mut replay = Replay::new(
                     batched.as_mut(),
                     warmup,
-                    batched_sampler.as_mut().map(|(s, _)| s),
+                    batched_sampler
+                        .as_mut()
+                        .map_or(&mut [][..], |(s, _)| std::slice::from_mut(s)),
                 );
                 replay.feed(trace.ops());
                 let result = replay.finish();
@@ -241,7 +242,7 @@ fn warmup_boundary_cases_match_per_op() {
                         want == *got.0.lock().unwrap(),
                         "{case}: series bytes diverged"
                     );
-                    let last = result.series.last().expect("ring holds the tail");
+                    let last = result[0].series.last().expect("ring holds the tail");
                     assert_eq!(per_op.emitted(), last.window + 1, "{case}");
                 }
             }

@@ -13,10 +13,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use cache8t::core::{
-    CoalescingController, Controller, ConventionalController, RmwController, WgController,
-    WgOptions, WgRbController,
-};
+use cache8t::core::{CoalescingController, Controller, RmwController, WgController, WgOptions};
 use cache8t::sim::{Address, CacheGeometry, ReplacementKind};
 use cache8t::trace::MemOp;
 
@@ -43,10 +40,10 @@ fn op_strategy() -> impl Strategy<Value = MemOp> {
 fn controllers() -> Vec<Box<dyn Controller>> {
     let g = tiny_geometry();
     vec![
-        Box::new(ConventionalController::new(g, ReplacementKind::Lru)),
+        Box::new(RmwController::conventional(g, ReplacementKind::Lru)),
         Box::new(RmwController::new(g, ReplacementKind::Lru)),
         Box::new(WgController::new(g, ReplacementKind::Lru)),
-        Box::new(WgRbController::new(g, ReplacementKind::Lru)),
+        Box::new(WgController::wg_rb(g, ReplacementKind::Lru)),
         // Ablation variants must be equally correct.
         Box::new(WgController::with_options(
             g,

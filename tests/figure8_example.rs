@@ -11,7 +11,7 @@
 //! premature write-back, the silent `a` group never written back); WG+RB
 //! needs 4 (three reads bypassed).
 
-use cache8t::core::{Controller, RmwController, WgController, WgRbController};
+use cache8t::core::{Controller, RmwController, WgController};
 use cache8t::sim::{Address, CacheGeometry, ReplacementKind};
 use cache8t::trace::MemOp;
 
@@ -87,7 +87,7 @@ fn wg_pays_eight_activations() {
 
 #[test]
 fn wgrb_pays_four_activations() {
-    let mut c = WgRbController::new(geometry(), ReplacementKind::Lru);
+    let mut c = WgController::wg_rb(geometry(), ReplacementKind::Lru);
     assert_eq!(run(&mut c), 4);
     let t = c.traffic();
     assert_eq!(
@@ -102,7 +102,7 @@ fn all_controllers_agree_on_values_and_final_state() {
     let g = geometry();
     let mut rmw = RmwController::new(g, ReplacementKind::Lru);
     let mut wg = WgController::new(g, ReplacementKind::Lru);
-    let mut wgrb = WgRbController::new(g, ReplacementKind::Lru);
+    let mut wgrb = WgController::wg_rb(g, ReplacementKind::Lru);
     for op in stream() {
         let v1 = rmw.access(&op).value;
         let v2 = wg.access(&op).value;

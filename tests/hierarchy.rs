@@ -5,8 +5,7 @@
 use std::collections::HashMap;
 
 use cache8t::core::{
-    CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
+    CacheBackend, CoalescingController, Controller, RmwController, WgController, WgOptions,
 };
 use cache8t::sim::{Address, CacheGeometry, ReplacementKind};
 use cache8t::trace::{profiles, MemOp, ProfiledGenerator, Trace, TraceGenerator};
@@ -45,7 +44,7 @@ fn l2_is_invisible_to_l1_traffic_and_stats() {
     let builders: Vec<(&str, Builder)> = vec![
         (
             "6T",
-            Box::new(|b| Box::new(ConventionalController::from_backend(b))),
+            Box::new(|b| Box::new(RmwController::conventional_from_backend(b))),
         ),
         (
             "RMW",
@@ -57,7 +56,7 @@ fn l2_is_invisible_to_l1_traffic_and_stats() {
         ),
         (
             "WG+RB",
-            Box::new(|b| Box::new(WgRbController::from_backend(b))),
+            Box::new(|b| Box::new(WgController::from_backend(b, WgOptions::wg_rb()))),
         ),
         (
             "CoalesceWB",
@@ -90,8 +89,10 @@ fn l2_is_invisible_to_l1_traffic_and_stats() {
 #[test]
 fn hierarchy_preserves_architectural_state() {
     let mut shadow: HashMap<u64, u64> = HashMap::new();
-    let mut c =
-        WgRbController::from_backend(CacheBackend::with_l2(l1(), l2(), ReplacementKind::Lru));
+    let mut c = WgController::from_backend(
+        CacheBackend::with_l2(l1(), l2(), ReplacementKind::Lru),
+        WgOptions::wg_rb(),
+    );
     for op in &trace() {
         if op.is_write() {
             shadow.insert(op.addr.raw(), op.value);

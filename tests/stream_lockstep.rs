@@ -12,8 +12,7 @@ use std::sync::Arc;
 
 use cache8t::conform::SchemeId;
 use cache8t::core::{
-    CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
+    CacheBackend, CoalescingController, Controller, RmwController, WgController, WgOptions,
 };
 use cache8t::exec::{OpSource, Replay, SchemeResult};
 use cache8t::obs::sampler::{Sampler, SamplerConfig};
@@ -23,10 +22,10 @@ use cache8t::trace::{ChunkedGenerator, ProfiledGenerator, Trace, TraceGenerator}
 fn build(id: SchemeId) -> Box<dyn Controller> {
     let backend = CacheBackend::new(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
     match id {
-        SchemeId::SixT => Box::new(ConventionalController::from_backend(backend)),
+        SchemeId::SixT => Box::new(RmwController::conventional_from_backend(backend)),
         SchemeId::Rmw => Box::new(RmwController::from_backend(backend)),
         SchemeId::Wg => Box::new(WgController::from_backend(backend, WgOptions::wg())),
-        SchemeId::WgRb => Box::new(WgRbController::from_backend(backend)),
+        SchemeId::WgRb => Box::new(WgController::from_backend(backend, WgOptions::wg_rb())),
         SchemeId::Coalesce(entries) => {
             Box::new(CoalescingController::from_backend(backend, entries))
         }
@@ -56,9 +55,10 @@ fn replay_trace(
     warmup_ops: usize,
     sampler: Option<&mut Sampler>,
 ) -> SchemeResult {
-    let mut replay = Replay::new(controller, warmup_ops, sampler);
+    let samplers = sampler.map_or(&mut [][..], std::slice::from_mut);
+    let mut replay = Replay::new(controller, warmup_ops, samplers);
     replay.feed(trace.ops());
-    replay.finish()
+    replay.finish().swap_remove(0)
 }
 
 /// The streamed replay: the same ops fed to `Replay` chunk by chunk.
@@ -68,7 +68,10 @@ fn replay_chunks(
     warmup_ops: usize,
     sampler: Option<&mut Sampler>,
 ) -> SchemeResult {
-    OpSource::Chunks(chunks(chunk_ops)).replay(Replay::new(controller, warmup_ops, sampler))
+    let samplers = sampler.map_or(&mut [][..], std::slice::from_mut);
+    OpSource::Chunks(chunks(chunk_ops))
+        .replay(Replay::new(controller, warmup_ops, samplers))
+        .swap_remove(0)
 }
 
 /// Everything a controller exposes after a replay, comparable.

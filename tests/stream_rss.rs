@@ -53,7 +53,7 @@ fn streamed_replay_rss_is_bounded_by_the_chunk_size() {
     let generator = ProfiledGenerator::new(small_ws_profile(), CacheGeometry::paper_baseline(), 23);
     let chunks = PrefetchedChunks::spawn(ChunkedGenerator::new(generator, CHUNK_OPS, BIG_OPS));
     let mut wg = controller();
-    OpSource::Chunks(chunks).replay(Replay::new(wg.as_mut(), BIG_OPS as usize / 10, None));
+    OpSource::Chunks(chunks).replay(Replay::new(wg.as_mut(), BIG_OPS as usize / 10, &mut []));
     let stats = *wg.stats();
     assert!(
         stats.read_hits + stats.read_misses + stats.write_hits + stats.write_misses > 0,

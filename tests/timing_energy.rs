@@ -1,7 +1,7 @@
 //! Cross-crate integration: timing model + energy model on real
 //! controller traffic (the paper's §5.5 arguments end to end).
 
-use cache8t::core::{Controller, RmwController, WgController, WgRbController};
+use cache8t::core::{Controller, RmwController, WgController};
 use cache8t::cpu::{PortTimingModel, TimingConfig};
 use cache8t::energy::dvfs::DvfsLadder;
 use cache8t::energy::power::SchemeEnergy;
@@ -25,7 +25,7 @@ fn section55_performance_direction_holds() {
     let model = PortTimingModel::new(TimingConfig::default());
     let rmw = model.run(&mut RmwController::new(g, ReplacementKind::Lru), &t);
     let wg = model.run(&mut WgController::new(g, ReplacementKind::Lru), &t);
-    let wgrb = model.run(&mut WgRbController::new(g, ReplacementKind::Lru), &t);
+    let wgrb = model.run(&mut WgController::wg_rb(g, ReplacementKind::Lru), &t);
 
     // §5.5: WG's performance cost is negligible; WG+RB improves loads.
     assert!(wg.avg_read_latency() <= rmw.avg_read_latency() * 1.05);
@@ -45,7 +45,7 @@ fn section55_power_direction_holds() {
 
     let mut rmw = RmwController::new(g, ReplacementKind::Lru);
     let mut wg = WgController::new(g, ReplacementKind::Lru);
-    let mut wgrb = WgRbController::new(g, ReplacementKind::Lru);
+    let mut wgrb = WgController::wg_rb(g, ReplacementKind::Lru);
     for op in &t {
         rmw.access(op);
         wg.access(op);
@@ -73,7 +73,7 @@ fn energy_savings_compose_with_dvfs() {
     let model = ArrayModel::for_cache(g, node, CellKind::EightT);
     let ladder = DvfsLadder::for_cache(node, CellKind::EightT, 8);
 
-    let mut wgrb = WgRbController::new(g, ReplacementKind::Lru);
+    let mut wgrb = WgController::wg_rb(g, ReplacementKind::Lru);
     for op in &trace() {
         wgrb.access(op);
     }
