@@ -15,7 +15,9 @@
 //!    schemes agree on the full [`CacheStats`](cache8t_sim::CacheStats),
 //!    line fills are scheme-independent, array traffic obeys the
 //!    paper's ordering (6T ≤ RMW, WG ≤ RMW, WG+RB ≤ WG), and
-//!    `wg.silent_suppressed` never exceeds closed groups.
+//!    `wg.silent_suppressed` never exceeds closed groups. The ledger's
+//!    counts agree with those the registry keeps apart from it (closed
+//!    groups, RMW bursts, set heat, coalescing deposits).
 //! 3. **Buffer coherence** — every Tag-Buffer entry mirrors a valid
 //!    cache line, and a clear Dirty bit implies the Set-Buffer holds
 //!    exactly the array's data.
@@ -586,6 +588,7 @@ fn check_stat_laws(backends: &[(String, Backend)], ops_replayed: u64, rec: &mut 
         }
         if let Some(obs) = backend.ctrl().obs() {
             let reg = obs.registry();
+            let traffic = backend.ctrl().traffic();
             if let (Some(suppressed), Some(groups)) = (
                 reg.counter_by_name("wg.silent_suppressed"),
                 reg.counter_by_name("wg.groups"),
@@ -596,6 +599,43 @@ fn check_stat_laws(backends: &[(String, Backend)], ops_replayed: u64, rec: &mut 
                         expected: groups,
                         actual: suppressed,
                         detail: "wg.silent_suppressed exceeds closed groups".to_string(),
+                        ..end.clone()
+                    });
+                }
+            }
+            // The ledger against the counts the registry keeps apart
+            // from it: `(law, ledger side, registry side)`.
+            let count = |name| reg.counter_by_name(name);
+            let hist = |name| reg.histogram_by_name(name);
+            let heat = reg
+                .counters()
+                .filter(|(n, _)| n.starts_with("series.set_heat."));
+            let mut laws = vec![(
+                "series.set_heat.* sum != line fills",
+                Some(traffic.line_fills),
+                Some(heat.map(|(_, n)| n).sum()),
+            )];
+            if let Some(groups) = count("wg.groups") {
+                let closed = traffic.writebacks + traffic.silent_writebacks_elided;
+                laws.push(("wg.groups != closed groups", Some(closed), Some(groups)));
+                let lens = hist("wg.group_len").map(|h| h.count());
+                laws.push(("wg.group_len count != wg.groups", Some(groups), lens));
+            }
+            if let Some(burst) = hist("rmw.burst") {
+                let sum = Some(burst.sum());
+                laws.push(("rmw.burst sum != rmw ops", Some(traffic.rmw_ops), sum));
+            }
+            if let Some(deposits) = count("coalesce.deposits") {
+                let lens = hist("coalesce.group_len").map(|h| h.count());
+                laws.push(("coalesce.group_len count != deposits", Some(deposits), lens));
+            }
+            for (law, expected, actual) in laws {
+                if expected != actual {
+                    rec.record(Divergence {
+                        scheme: label.clone(),
+                        expected: expected.unwrap_or(0),
+                        actual: actual.unwrap_or(0),
+                        detail: law.to_string(),
                         ..end.clone()
                     });
                 }

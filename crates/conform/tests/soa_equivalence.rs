@@ -123,11 +123,6 @@ fn fill_victims_match_the_trait_object_reference() {
                 }
             }
         }
-        assert_eq!(
-            cache.stats().evictions,
-            evictions,
-            "{kind}: eviction count drifted from the lockstep driver"
-        );
         assert!(evictions > 1_000, "{kind}: the stream must stress eviction");
     }
 }

@@ -15,7 +15,6 @@ use cache8t_sim::{kernels, Address, CacheGeometry, DataCache, MainMemory, Replac
 use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
-use crate::obs::StackObs;
 use crate::Ledger;
 
 /// One write-buffer entry: a block base, the coalesced words, and their
@@ -77,28 +76,28 @@ pub struct CoalescingController {
     free: Vec<Entry>,
 }
 
-/// Handles of the write-buffer-specific metrics.
+/// Handles of the write-buffer-specific metrics the ledger has no field
+/// for.
 #[derive(Debug, Clone, Copy)]
 struct CoalesceMetrics {
     /// `coalesce.deposits` — entries deposited into the array.
     deposits: CounterId,
-    /// `coalesce.silent_suppressed` — deposits whose write phase was
-    /// skipped because every coalesced word matched the stored data.
-    silent_suppressed: CounterId,
-    /// `coalesce.forwarded_reads` — reads served from the buffer.
-    forwarded_reads: CounterId,
     /// `coalesce.group_len` — coalesced valid words per deposited entry.
     group_len: HistogramId,
 }
 
 impl CoalesceMetrics {
-    fn register(obs: &mut StackObs) -> Self {
-        let r = obs.registry_mut();
+    /// Registers the write-buffer metrics; silent deposits and forwarded
+    /// reads are published from the traffic ledger.
+    fn register(ledger: &mut Ledger) -> Self {
+        let deposits = ledger.obs.registry_mut().counter("coalesce.deposits");
+        ledger.publish_as("coalesce.silent_suppressed", |l| {
+            l.traffic.silent_writebacks_elided
+        });
+        ledger.publish_as("coalesce.forwarded_reads", |l| l.traffic.bypassed_reads);
         CoalesceMetrics {
-            deposits: r.counter("coalesce.deposits"),
-            silent_suppressed: r.counter("coalesce.silent_suppressed"),
-            forwarded_reads: r.counter("coalesce.forwarded_reads"),
-            group_len: r.histogram("coalesce.group_len"),
+            deposits,
+            group_len: ledger.obs.registry_mut().histogram("coalesce.group_len"),
         }
     }
 }
@@ -122,7 +121,7 @@ impl CoalescingController {
     pub fn from_backend(backend: CacheBackend, entries: usize) -> Self {
         assert!(entries >= 1, "the write buffer needs at least one entry");
         let mut ledger = Ledger::new("CoalesceWB");
-        let metrics = CoalesceMetrics::register(&mut ledger.obs);
+        let metrics = CoalesceMetrics::register(&mut ledger);
         CoalescingController {
             backend,
             ledger,
@@ -203,7 +202,6 @@ impl CoalescingController {
                 // Every coalesced word matched the stored data: skip the write
                 // phase (the buffer's own silent-store elision).
                 self.ledger.traffic.silent_writebacks_elided += 1;
-                self.ledger.obs.inc(m.silent_suppressed);
                 self.ledger.obs.emit(
                     Component::Coalesce,
                     EventKind::SilentElide,
@@ -253,8 +251,6 @@ impl CoalescingController {
                     self.backend.cache_mut().touch_at(set, residency.way);
                     self.ledger.record_read(residency.hit, true);
                     self.ledger.traffic.bypassed_reads += 1;
-                    let m = self.metrics;
-                    self.ledger.obs.inc(m.forwarded_reads);
                     return AccessResponse {
                         value,
                         hit: residency.hit,
@@ -363,11 +359,15 @@ impl Controller for CoalescingController {
         while !self.entries.is_empty() {
             self.deposit(0);
         }
+        self.settle();
+    }
+
+    fn settle(&mut self) {
+        self.ledger.publish();
     }
 
     fn reset_counters(&mut self) {
         self.ledger.reset();
-        self.backend.reset_stats();
     }
 
     fn cache(&self) -> &DataCache {

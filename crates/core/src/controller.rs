@@ -90,13 +90,16 @@ pub trait Controller {
         1
     }
 
-    /// Brings every ledger's counts up to date. A family counts what its
-    /// members share (request statistics, the common metrics, line fills,
-    /// …) once, in ledger 0; the other ledgers copy those counts here.
-    /// [`flush`](Controller::flush) settles too, so a family's ledgers
-    /// other than the first are current after either. A no-op for a
-    /// single ledger.
-    fn settle(&mut self) {}
+    /// Brings every ledger's counts up to date and publishes them into
+    /// its metric registry. A family counts what its members share
+    /// (request statistics, line fills, …) once, in ledger 0, and the
+    /// other ledgers copy those counts here; then every ledger copies
+    /// its fields into the registry counters that repeat them (see
+    /// [`Ledger`]). [`flush`](Controller::flush) settles too, so every
+    /// ledger and registry is current after either. Anything that reads
+    /// a registry mid-replay settles first, as the replay driver does
+    /// before each sample.
+    fn settle(&mut self);
 
     /// Ledger `i`, in family order.
     ///
@@ -124,8 +127,9 @@ pub trait Controller {
     }
 
     /// Ledger 0's request-level hit/miss statistics, maintained
-    /// identically by every controller (unlike [`DataCache::stats`],
-    /// which only sees the requests that reach the array).
+    /// identically by every controller. Evictions are not requests, so
+    /// its `evictions`/`dirty_evictions` stay 0 (the `cache.evictions`
+    /// metrics count them).
     fn stats(&self) -> &CacheStats {
         self.ledger(0).stats()
     }
@@ -334,11 +338,6 @@ impl CacheBackend {
         );
     }
 
-    /// Zeroes the cache's internal statistics.
-    pub fn reset_stats(&mut self) {
-        self.cache.reset_stats();
-    }
-
     /// The functional cache.
     pub fn cache(&self) -> &DataCache {
         &self.cache
@@ -352,11 +351,6 @@ impl CacheBackend {
     /// The backing memory.
     pub fn memory(&self) -> &MainMemory {
         &self.memory
-    }
-
-    /// The cache's hit/miss statistics.
-    pub fn stats(&self) -> &CacheStats {
-        self.cache.stats()
     }
 
     /// Ensures the block containing `addr` is resident, allocating on miss
@@ -386,7 +380,6 @@ impl CacheBackend {
         if let Some(way) = probed {
             return ResidencyOutcome {
                 hit: true,
-                filled: false,
                 dirty_eviction: false,
                 way,
                 fill: None,
@@ -438,7 +431,6 @@ impl CacheBackend {
         });
         ResidencyOutcome {
             hit: false,
-            filled: true,
             dirty_eviction,
             way: slot.way,
             fill: Some(FillRecord {
@@ -484,15 +476,14 @@ impl fmt::Debug for CacheBackend {
 pub struct ResidencyOutcome {
     /// The block was already resident.
     pub hit: bool,
-    /// A line fill was performed.
-    pub filled: bool,
     /// The fill evicted a dirty victim that was written back to memory.
     pub dirty_eviction: bool,
     /// The way the block occupies after the call (the hit way, or the
     /// way the fill installed into). Callers use it to address the line
     /// directly instead of re-searching the set's tags.
     pub way: usize,
-    /// What the fill did, for the ledgers' telemetry; `None` on a hit.
+    /// The line fill a miss performed, for the ledgers; `None` on a
+    /// hit.
     pub fill: Option<FillRecord>,
 }
 
@@ -527,11 +518,11 @@ mod tests {
         let a = Address::new(0x40);
         let first = b.ensure_resident(a);
         assert!(!first.hit);
-        assert!(first.filled);
+        assert!(first.fill.is_some());
         assert!(!first.dirty_eviction);
         let second = b.ensure_resident(a);
         assert!(second.hit);
-        assert!(!second.filled);
+        assert!(second.fill.is_none());
     }
 
     #[test]
@@ -543,7 +534,7 @@ mod tests {
         // Conflict-fill the set until a is evicted (2 ways).
         let o1 = b.ensure_resident(Address::new(0xC0));
         let o2 = b.ensure_resident(Address::new(0x140));
-        assert!(o1.filled && o2.filled);
+        assert!(o1.fill.is_some() && o2.fill.is_some());
         assert!(o2.dirty_eviction, "a was dirty and LRU");
         assert_eq!(b.memory().read_word(a), 99);
         assert_eq!(b.peek_word(a), 99, "peek falls through to memory");

@@ -7,9 +7,10 @@
 //! transitions (buffer fills, group flushes, RMW sequences, …); the
 //! ledger itself accounts line fills and evictions.
 //!
-//! Metrics are always collected — they are plain `u64` adds on
-//! pre-resolved handles, cheap enough for release hot paths. Event
-//! recording is gated by [`TraceLevel`] (the `CACHE8T_TRACE`
+//! Counts the ledger keeps as plain fields are published into the
+//! registry at settle; only counts with no ledger field are incremented
+//! here, on cold paths. Event recording is gated by [`TraceLevel`] (the
+//! `CACHE8T_TRACE`
 //! environment variable), so a disabled tracer costs one enum compare
 //! per emission site.
 
@@ -27,9 +28,6 @@ pub struct StackObs {
     registry: MetricRegistry,
     tracer: Tracer,
     tick: u64,
-    pub(crate) m_reads: CounterId,
-    pub(crate) m_writes: CounterId,
-    pub(crate) m_line_fills: CounterId,
     pub(crate) m_evictions: CounterId,
     pub(crate) m_dirty_evictions: CounterId,
     pub(crate) m_set_heat: [CounterId; SET_HEAT_BUCKETS],
@@ -39,9 +37,6 @@ impl StackObs {
     /// Creates a bundle with the tracer at an explicit level.
     pub fn with_level(level: TraceLevel) -> Self {
         let mut registry = MetricRegistry::new();
-        let m_reads = registry.counter("ctrl.reads");
-        let m_writes = registry.counter("ctrl.writes");
-        let m_line_fills = registry.counter("cache.line_fills");
         let m_evictions = registry.counter("cache.evictions");
         let m_dirty_evictions = registry.counter("cache.dirty_evictions");
         let m_set_heat =
@@ -50,9 +45,6 @@ impl StackObs {
             registry,
             tracer: Tracer::new(level, cache8t_obs::trace::DEFAULT_RING_CAPACITY),
             tick: 0,
-            m_reads,
-            m_writes,
-            m_line_fills,
             m_evictions,
             m_dirty_evictions,
             m_set_heat,
@@ -135,26 +127,13 @@ impl StackObs {
             .emit_verbose(TraceEvent::new(self.tick, component, kind, addr, detail));
     }
 
-    /// Copies the common metrics (every `ctrl.*`, `cache.*` and
-    /// `series.set_heat.*` counter) plus `counters` and `histograms` from
-    /// `primary`, a bundle with the same registrations.
-    pub(crate) fn mirror(
-        &mut self,
-        primary: &StackObs,
-        counters: &[CounterId],
-        histograms: &[HistogramId],
-    ) {
-        let common = [
-            self.m_reads,
-            self.m_writes,
-            self.m_line_fills,
-            self.m_evictions,
-            self.m_dirty_evictions,
-        ];
+    /// Copies the common counters (evictions and set heat) plus
+    /// `histograms` from `primary`, a bundle with the same registrations.
+    pub(crate) fn mirror(&mut self, primary: &StackObs, histograms: &[HistogramId]) {
+        let common = [self.m_evictions, self.m_dirty_evictions];
         let registry = &mut self.registry;
-        registry.copy_from(&primary.registry, &common, &[]);
+        registry.copy_from(&primary.registry, &common, histograms);
         registry.copy_from(&primary.registry, &self.m_set_heat, &[]);
-        registry.copy_from(&primary.registry, counters, histograms);
     }
 
     /// Resets metric values, recorded events, and the tick, keeping
@@ -180,7 +159,8 @@ mod tests {
 
     #[test]
     fn common_metrics_are_preregistered() {
-        let obs = StackObs::with_level(TraceLevel::Off);
+        let ledger = crate::Ledger::new("test");
+        let obs = ledger.obs();
         for name in [
             "ctrl.reads",
             "ctrl.writes",
@@ -195,17 +175,17 @@ mod tests {
     #[test]
     fn reset_clears_values_and_tick() {
         let mut obs = StackObs::with_level(TraceLevel::Event);
-        let id = obs.m_reads;
+        let id = obs.m_evictions;
         obs.inc(id);
         obs.advance_tick();
         obs.emit(Component::Cache, EventKind::LineFill, 0x40, 4);
         assert_eq!(obs.tracer().len(), 1);
         obs.reset();
-        assert_eq!(obs.registry().counter_by_name("ctrl.reads"), Some(0));
+        assert_eq!(obs.registry().counter_by_name("cache.evictions"), Some(0));
         assert_eq!(obs.tick(), 0);
         assert!(obs.tracer().is_empty());
         obs.inc(id); // handle still valid after reset
-        assert_eq!(obs.registry().counter_by_name("ctrl.reads"), Some(1));
+        assert_eq!(obs.registry().counter_by_name("cache.evictions"), Some(1));
     }
 
     #[test]
@@ -235,10 +215,13 @@ mod tests {
     #[test]
     fn off_level_suppresses_events_but_not_metrics() {
         let mut obs = StackObs::with_level(TraceLevel::Off);
-        let id = obs.m_writes;
+        let id = obs.m_dirty_evictions;
         obs.inc(id);
         obs.emit(Component::Wg, EventKind::GroupFlush, 3, 2);
         assert!(obs.tracer().is_empty());
-        assert_eq!(obs.registry().counter_by_name("ctrl.writes"), Some(1));
+        assert_eq!(
+            obs.registry().counter_by_name("cache.dirty_evictions"),
+            Some(1)
+        );
     }
 }

@@ -67,35 +67,34 @@ struct RmwBurst {
     addr: u64,
 }
 
-/// Handles of the RMW-specific metrics.
+/// Handles of the RMW-specific metrics the ledger has no field for.
 #[derive(Debug, Clone, Copy)]
 struct RmwMetrics {
     /// `rmw.sequences` — bursts of consecutive same-row RMW writes.
     sequences: CounterId,
-    /// `rmw.ops` — individual RMW operations (one per write).
-    ops: CounterId,
-    /// `rmw.read_phases` — overhead row reads (the paper's complaint).
-    read_phases: CounterId,
     /// `rmw.burst` — burst-size distribution: how many consecutive
     /// writes hit the same row (exactly the runs WG would group).
     burst: HistogramId,
 }
 
 impl RmwMetrics {
-    fn register(obs: &mut StackObs) -> Self {
-        let r = obs.registry_mut();
+    /// Registers the RMW metrics; operations and read phases are
+    /// published from the traffic ledger.
+    fn register(ledger: &mut Ledger) -> Self {
+        let sequences = ledger.obs.registry_mut().counter("rmw.sequences");
+        ledger.publish_as("rmw.ops", |l| l.traffic.rmw_ops);
+        ledger.publish_as("rmw.read_phases", |l| l.traffic.rmw_read_phases);
         RmwMetrics {
-            sequences: r.counter("rmw.sequences"),
-            ops: r.counter("rmw.ops"),
-            read_phases: r.counter("rmw.read_phases"),
-            burst: r.histogram("rmw.burst"),
+            sequences,
+            burst: ledger.obs.registry_mut().histogram("rmw.burst"),
         }
     }
 }
 
 impl RmwBurst {
-    /// Closes the in-flight write burst: one `rmw.sequences` count, one
-    /// `rmw.burst` observation, one `RmwSequence` event.
+    /// Closes the in-flight write burst, if any: one `rmw.sequences`
+    /// count, one `rmw.burst` observation, one `RmwSequence` event. Runs
+    /// once per burst, on the read or other-row write that ends it.
     fn close(&mut self, obs: &mut StackObs) {
         if self.len == 0 {
             return;
@@ -107,16 +106,14 @@ impl RmwBurst {
         self.len = 0;
     }
 
-    /// Accounts one RMW write to `row`, closing the burst it breaks.
-    fn write(&mut self, row: u64, addr: u64, obs: &mut StackObs) {
-        if self.row != Some(row) {
-            self.close(obs);
+    /// Accounts one RMW write to `row`, starting a burst if none is in
+    /// flight (a write to another row first closes the one that is).
+    fn write(&mut self, row: u64, addr: u64) {
+        if self.row.is_none() {
             self.row = Some(row);
             self.addr = addr;
         }
         self.len += 1;
-        obs.inc(self.metrics.ops);
-        obs.inc(self.metrics.read_phases);
     }
 }
 
@@ -132,7 +129,7 @@ impl ArrayLedger {
     /// An RMW ledger: a row read plus a row write per store.
     fn rmw() -> Self {
         let mut ledger = Ledger::new("RMW");
-        let metrics = RmwMetrics::register(&mut ledger.obs);
+        let metrics = RmwMetrics::register(&mut ledger);
         ArrayLedger {
             ledger,
             rmw: Some(RmwBurst {
@@ -173,7 +170,10 @@ impl ArrayLedger {
             };
         }
         if let Some(burst) = &mut self.rmw {
-            burst.write(d.set, d.addr.raw(), &mut ledger.obs);
+            if burst.row.is_some_and(|row| row != d.set) {
+                burst.close(&mut ledger.obs);
+            }
+            burst.write(d.set, d.addr.raw());
         }
         ledger.record_write(residency.hit, silent, primary);
         if primary {
@@ -284,9 +284,12 @@ impl<const N: usize> Controller for RmwController<N> {
         let (primary, members) = self.ledgers.split_at_mut(1);
         let primary = &primary[0].ledger;
         for l in members {
-            l.ledger.mirror(primary, &[], &[]);
+            l.ledger.mirror(primary, &[]);
             l.ledger.traffic.demand_reads = primary.traffic.demand_reads;
             l.ledger.traffic.demand_writes = primary.traffic.demand_writes;
+        }
+        for l in &mut self.ledgers {
+            l.ledger.publish();
         }
     }
 
@@ -298,7 +301,6 @@ impl<const N: usize> Controller for RmwController<N> {
                 burst.len = 0;
             }
         }
-        self.backend.reset_stats();
     }
 
     fn cache(&self) -> &DataCache {
@@ -406,7 +408,7 @@ mod tests {
             assert_eq!(a.value, b.value, "op {i}");
             assert_eq!(a.hit, b.hit, "op {i}");
         }
-        assert_eq!(rmw.cache().stats(), conv.cache().stats());
+        assert_eq!(rmw.stats(), conv.stats());
     }
 
     #[test]

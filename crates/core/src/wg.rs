@@ -9,7 +9,6 @@ use cache8t_sim::{Address, CacheGeometry, DataCache, MainMemory, ReplacementKind
 use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
-use crate::obs::StackObs;
 use crate::Ledger;
 
 /// Configuration of the grouping controller.
@@ -185,23 +184,12 @@ struct WgLedger {
     metrics: WgMetrics,
 }
 
-/// Handles of the grouping-specific metrics.
+/// Handles of the grouping-specific metrics the ledger has no field
+/// for.
 #[derive(Debug, Clone, Copy)]
 struct WgMetrics {
     /// `wg.groups` — closed write groups (dirty or silent).
     groups: CounterId,
-    /// `wg.writebacks` — Set-Buffer deposits into the array.
-    writebacks: CounterId,
-    /// `wg.premature_writebacks` — deposits forced by reads (plain WG).
-    premature_writebacks: CounterId,
-    /// `wg.silent_suppressed` — write-backs elided by the Dirty bit.
-    silent_suppressed: CounterId,
-    /// `wg.buffer_fills` — Set-Buffer fill row-reads.
-    buffer_fills: CounterId,
-    /// `wg.grouped_writes` — writes absorbed without an array access.
-    grouped_writes: CounterId,
-    /// `wg.bypassed_reads` — reads served from the Set-Buffer (WG+RB).
-    bypassed_reads: CounterId,
     /// `wg.group_len` — writes per closed group.
     group_len: HistogramId,
     /// `wg.buffer_residency` — request ticks a buffer stayed resident.
@@ -209,16 +197,23 @@ struct WgMetrics {
 }
 
 impl WgMetrics {
-    fn register(obs: &mut StackObs) -> Self {
-        let r = obs.registry_mut();
+    /// Registers the grouping metrics; the ones the traffic ledger
+    /// counts are published from it.
+    fn register(ledger: &mut Ledger) -> Self {
+        let groups = ledger.obs.registry_mut().counter("wg.groups");
+        ledger.publish_as("wg.writebacks", |l| l.traffic.writebacks);
+        ledger.publish_as("wg.premature_writebacks", |l| {
+            l.traffic.premature_writebacks
+        });
+        ledger.publish_as("wg.silent_suppressed", |l| {
+            l.traffic.silent_writebacks_elided
+        });
+        ledger.publish_as("wg.buffer_fills", |l| l.traffic.buffer_fills);
+        ledger.publish_as("wg.grouped_writes", |l| l.traffic.grouped_writes);
+        ledger.publish_as("wg.bypassed_reads", |l| l.traffic.bypassed_reads);
+        let r = ledger.obs.registry_mut();
         WgMetrics {
-            groups: r.counter("wg.groups"),
-            writebacks: r.counter("wg.writebacks"),
-            premature_writebacks: r.counter("wg.premature_writebacks"),
-            silent_suppressed: r.counter("wg.silent_suppressed"),
-            buffer_fills: r.counter("wg.buffer_fills"),
-            grouped_writes: r.counter("wg.grouped_writes"),
-            bypassed_reads: r.counter("wg.bypassed_reads"),
+            groups,
             group_len: r.histogram("wg.group_len"),
             buffer_residency: r.histogram("wg.buffer_residency"),
         }
@@ -228,7 +223,7 @@ impl WgMetrics {
 impl WgLedger {
     fn new(options: WgOptions) -> Self {
         let mut ledger = Ledger::new(if options.read_bypass { "WG+RB" } else { "WG" });
-        let metrics = WgMetrics::register(&mut ledger.obs);
+        let metrics = WgMetrics::register(&mut ledger);
         WgLedger {
             ledger,
             read_bypass: options.read_bypass,
@@ -265,9 +260,9 @@ pub struct WgController<const N: usize = 1> {
     backend: CacheBackend,
     ledgers: [WgLedger; N],
     buffer_depth: usize,
-    /// Some ledger reads the array on a Tag-Buffer hit (plain WG). The
-    /// value is the buffer's either way; this only decides whether the
-    /// functional cache counts an array read hit or just a touch.
+    /// Some ledger reads the array on a Tag-Buffer hit (plain WG), so
+    /// such a read first forces that ledger's premature write-back. The
+    /// value is the buffer's either way.
     array_reads: bool,
     /// Buffered sets, most recently used first. Length ≤ buffer_depth.
     buffers: Vec<SetBuffer<N>>,
@@ -496,13 +491,11 @@ impl<const N: usize> WgController<N> {
                 group.dirty = false;
                 wrote |= i == 0;
                 ledger.traffic.writebacks += 1;
-                let obs = &mut ledger.obs;
-                obs.inc(m.writebacks);
                 if premature {
                     ledger.traffic.premature_writebacks += 1;
-                    obs.inc(m.premature_writebacks);
                 }
                 // A dirty deposit always closes a write group.
+                let obs = &mut ledger.obs;
                 obs.inc(m.groups);
                 obs.observe(m.group_len, group_len);
                 obs.emit(Component::Wg, EventKind::GroupFlush, set_index, group_len);
@@ -511,7 +504,6 @@ impl<const N: usize> WgController<N> {
                 // the whole group was silent and the write-back is elided.
                 ledger.traffic.silent_writebacks_elided += 1;
                 let obs = &mut ledger.obs;
-                obs.inc(m.silent_suppressed);
                 obs.inc(m.groups);
                 obs.observe(m.group_len, group_len);
                 obs.emit(Component::Wg, EventKind::SilentElide, set_index, group_len);
@@ -566,11 +558,7 @@ impl<const N: usize> WgController<N> {
             buf.tags[way] = valid.then_some(tag);
             buf.line_dirty[way] = valid && dirty;
         }
-        let WgLedger {
-            ledger, metrics, ..
-        } = &mut self.ledgers[0];
-        ledger.traffic.buffer_fills += 1;
-        ledger.obs.inc(metrics.buffer_fills);
+        self.ledgers[0].ledger.traffic.buffer_fills += 1;
         for l in &mut self.ledgers {
             l.ledger
                 .obs
@@ -610,20 +598,11 @@ impl<const N: usize> WgController<N> {
                 (self.buffers[pos].data[way * words + word], false)
             };
             self.promote_buffer(pos);
-            for (
-                i,
-                WgLedger {
-                    ledger,
-                    read_bypass,
-                    metrics,
-                    ..
-                },
-            ) in self.ledgers.iter_mut().enumerate()
-            {
+            for (i, l) in self.ledgers.iter_mut().enumerate() {
+                let ledger = &mut l.ledger;
                 ledger.record_read(true, i == 0);
-                if *read_bypass {
+                if l.read_bypass {
                     ledger.traffic.bypassed_reads += 1;
-                    ledger.obs.inc(metrics.bypassed_reads);
                     ledger
                         .obs
                         .emit_verbose(Component::Wg, EventKind::Bypass, d.addr.raw(), value);
@@ -709,11 +688,7 @@ impl<const N: usize> WgController<N> {
             for (i, l) in self.ledgers.iter_mut().enumerate() {
                 l.ledger.record_write(true, silent, i == 0);
             }
-            let WgLedger {
-                ledger, metrics, ..
-            } = &mut self.ledgers[0];
-            ledger.traffic.grouped_writes += 1;
-            ledger.obs.inc(metrics.grouped_writes);
+            self.ledgers[0].ledger.traffic.grouped_writes += 1;
             return AccessResponse {
                 value: d.value,
                 hit: true,
@@ -814,10 +789,12 @@ impl<const N: usize> Controller for WgController<N> {
             ..
         } = &primary[0];
         for l in members {
-            let shared = [m.buffer_fills, m.grouped_writes];
-            l.ledger.mirror(primary, &shared, &[m.buffer_residency]);
+            l.ledger.mirror(primary, &[m.buffer_residency]);
             l.ledger.traffic.buffer_fills = primary.traffic.buffer_fills;
             l.ledger.traffic.grouped_writes = primary.traffic.grouped_writes;
+        }
+        for l in &mut self.ledgers {
+            l.ledger.publish();
         }
     }
 
@@ -825,7 +802,6 @@ impl<const N: usize> Controller for WgController<N> {
         for l in &mut self.ledgers {
             l.ledger.reset();
         }
-        self.backend.reset_stats();
         // The tick restarted at zero: re-stamp surviving buffers so
         // residency observations stay non-negative.
         for buf in &mut self.buffers {

@@ -344,6 +344,7 @@ impl<'a> Replay<'a> {
     }
 
     fn rebaseline(&mut self) {
+        self.controller.settle();
         for (i, sampler) in self.samplers.iter_mut().enumerate() {
             sampler.rebaseline(self.controller.ledger(i).obs().registry());
         }

@@ -231,6 +231,14 @@ impl MetricRegistry {
         self.counters[id.0].value += n;
     }
 
+    /// Sets a counter to `value`: publishes a count kept as a plain field
+    /// elsewhere, so the hot path that maintains it never touches the
+    /// registry.
+    #[inline]
+    pub fn set_counter(&mut self, id: CounterId, value: u64) {
+        self.counters[id.0].value = value;
+    }
+
     /// Sets a gauge to `value`.
     #[inline]
     pub fn set(&mut self, id: GaugeId, value: i64) {
@@ -659,6 +667,8 @@ mod tests {
         assert_eq!(r.histogram_by_name("h").unwrap().count(), 0);
         r.inc(c);
         assert_eq!(r.counter_value(c), 1);
+        r.set_counter(c, 5);
+        assert_eq!(r.counter_by_name("x"), Some(5));
     }
 
     #[test]

@@ -126,8 +126,10 @@ impl SeriesSample {
         }
     }
 
-    /// Window silent-write-suppression rate: silently suppressed word
-    /// writes per write request.
+    /// Window silent-write-back elision rate: WG write-backs elided
+    /// because their whole group was silent (`wg.silent_suppressed`),
+    /// per write request. Not the silent *word write* rate (Figure 5),
+    /// and 0 for schemes without a Set-Buffer.
     pub fn silent_rate(&self) -> f64 {
         let writes = self.delta("ctrl.writes");
         if writes == 0 {

@@ -9,7 +9,7 @@ use std::fmt;
 
 use crate::kernels;
 use crate::replacement::{PolicyTable, ReplacementKind};
-use crate::{Address, CacheGeometry, CacheStats};
+use crate::{Address, CacheGeometry};
 
 /// Line-flag bit: the line holds a block.
 const VALID: u8 = 1 << 0;
@@ -180,7 +180,6 @@ pub struct FillSlot {
 /// ```
 pub struct DataCache {
     geometry: CacheGeometry,
-    stats: CacheStats,
     ways: usize,
     block_words: usize,
     /// All block words: line `set * ways + way` occupies
@@ -203,7 +202,6 @@ impl DataCache {
         let lines = geometry.num_sets() as usize * ways;
         DataCache {
             geometry,
-            stats: CacheStats::new(),
             ways,
             block_words,
             data: vec![0; lines * block_words].into_boxed_slice(),
@@ -217,18 +215,6 @@ impl DataCache {
     #[inline]
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
-    }
-
-    /// Accumulated hit/miss statistics.
-    #[inline]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Resets statistics to zero (used after warm-up, mirroring the paper's
-    /// 1 B-instruction cache warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
     }
 
     /// The words of line `line_index = set * ways + way`.
@@ -296,8 +282,8 @@ impl DataCache {
         }
     }
 
-    /// Looks up `addr` without any side effects (no statistics, no
-    /// replacement update). Returns the hit way.
+    /// Looks up `addr` without any side effects (no replacement
+    /// update). Returns the hit way.
     pub fn probe(&self, addr: Address) -> Option<usize> {
         let set = self.geometry.set_index_of(addr) as usize;
         let tag = self.geometry.tag_of(addr);
@@ -305,7 +291,7 @@ impl DataCache {
     }
 
     /// Touches the replacement state for `addr` if it is resident, without
-    /// reading data or updating statistics.
+    /// reading data.
     ///
     /// The WG/WG+RB controllers use this when a request is served from the
     /// Set-Buffer: the block logically *was* accessed, so replacement
@@ -350,8 +336,8 @@ impl DataCache {
     }
 
     /// Reads word `word` of a known-resident line, with exactly the
-    /// side effects of the hit arm of [`read_word`](Self::read_word):
-    /// replacement touch plus one read hit.
+    /// side effects of the hit arm of [`read_word`](Self::read_word): a
+    /// replacement touch.
     ///
     /// The caller vouches that `(set_index, way)` is the line the
     /// address maps to (typically the way returned by the probe or fill
@@ -364,14 +350,12 @@ impl DataCache {
             "read_word_at on an invalid line"
         );
         self.replacement.touch(set, way, self.ways);
-        self.stats.read_hits += 1;
         self.data[(set * self.ways + way) * self.block_words + word]
     }
 
     /// Writes word `word` of a known-resident line, with exactly the
     /// side effects of the hit arm of [`write_word`](Self::write_word):
-    /// replacement touch, dirty marking, one write hit, and silent-store
-    /// accounting.
+    /// replacement touch and dirty marking.
     #[inline]
     pub fn write_word_at(
         &mut self,
@@ -392,10 +376,6 @@ impl DataCache {
         let was_silent = old_value == value;
         *slot = value;
         self.flags[line] |= DIRTY;
-        self.stats.write_hits += 1;
-        if was_silent {
-            self.stats.silent_word_writes += 1;
-        }
         WriteEffect {
             old_value,
             was_silent,
@@ -403,7 +383,7 @@ impl DataCache {
     }
 
     /// Reads word `word` of a known-resident line with **no** side
-    /// effects (no statistics, no replacement update) — the pre-decoded
+    /// effects (no replacement update) — the pre-decoded
     /// counterpart of a forwarding peek.
     #[inline]
     pub fn peek_word_at(&self, set_index: u64, way: usize, word: usize) -> u64 {
@@ -418,7 +398,7 @@ impl DataCache {
     /// Reads the aligned word containing `addr`.
     ///
     /// On a hit the replacement state is touched and `Some(value)` is
-    /// returned; on a miss, `None`. Statistics are updated either way.
+    /// returned; on a miss, `None`.
     pub fn read_word(&mut self, addr: Address) -> Option<u64> {
         let set = self.geometry.set_index_of(addr) as usize;
         let tag = self.geometry.tag_of(addr);
@@ -426,13 +406,9 @@ impl DataCache {
         match self.find(set, tag) {
             Some(way) => {
                 self.replacement.touch(set, way, self.ways);
-                self.stats.read_hits += 1;
                 Some(self.data[(set * self.ways + way) * self.block_words + word])
             }
-            None => {
-                self.stats.read_misses += 1;
-                None
-            }
+            None => None,
         }
     }
 
@@ -440,7 +416,7 @@ impl DataCache {
     ///
     /// On a hit the word is updated, the line marked dirty, the replacement
     /// state touched, and the [`WriteEffect`] (including silence) returned;
-    /// on a miss, `None`. Statistics are updated either way.
+    /// on a miss, `None`.
     ///
     /// Note that the *functional* cache marks the line dirty even for silent
     /// writes; suppressing silent write-backs is the WG controller's
@@ -458,23 +434,16 @@ impl DataCache {
                 let was_silent = old_value == value;
                 *slot = value;
                 self.flags[line] |= DIRTY;
-                self.stats.write_hits += 1;
-                if was_silent {
-                    self.stats.silent_word_writes += 1;
-                }
                 Some(WriteEffect {
                     old_value,
                     was_silent,
                 })
             }
-            None => {
-                self.stats.write_misses += 1;
-                None
-            }
+            None => None,
         }
     }
 
-    /// Chooses the destination way for a fill into `set`, counting any
+    /// Chooses the destination way for a fill into `set`, reporting any
     /// eviction. Shared by [`fill`](Self::fill) and
     /// [`fill_into`](Self::fill_into).
     fn fill_slot(&mut self, set: usize, set_index: u64) -> (usize, Option<EvictedMeta>) {
@@ -487,10 +456,6 @@ impl DataCache {
                     .geometry
                     .block_base_from_parts(self.tags[line], set_index);
                 let dirty = self.flags[line] & DIRTY != 0;
-                self.stats.evictions += 1;
-                if dirty {
-                    self.stats.dirty_evictions += 1;
-                }
                 (way, Some(EvictedMeta { base, dirty }))
             }
         }
@@ -510,8 +475,8 @@ impl DataCache {
     ///
     /// The installed line is clean; callers that fill-then-write (write
     /// allocation) will dirty it through [`write_word`](Self::write_word).
-    /// Does not touch hit/miss statistics — the lookup that discovered the
-    /// miss already counted it — but does count evictions.
+    /// The cache counts nothing: callers learn of the miss from the
+    /// lookup that found it, and of the eviction from the returned slot.
     ///
     /// Any displaced block's words are returned in an owned
     /// [`EvictedLine`]; the allocation-free hot path is
@@ -604,8 +569,8 @@ impl DataCache {
     /// comparing first with the branchless kernel and skipping the copy
     /// when nothing changed. Returns `true` iff any word changed.
     ///
-    /// Touches **no** metadata — tags, valid/dirty flags, replacement
-    /// state, and statistics are untouched; callers account dirtiness
+    /// Touches **no** metadata — tags, valid/dirty flags and replacement
+    /// state are untouched; callers account dirtiness
     /// per way themselves (see [`set_line_dirty`](Self::set_line_dirty)).
     /// For ways whose stored words should not move, `data` must carry
     /// the current stored words (a Set-Buffer snapshot does by
@@ -745,7 +710,6 @@ impl fmt::Debug for DataCache {
         f.debug_struct("DataCache")
             .field("geometry", &self.geometry)
             .field("resident_blocks", &self.resident_blocks())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -768,8 +732,6 @@ mod tests {
         let mut c = small_cache();
         assert_eq!(c.read_word(Address::new(0)), None);
         assert_eq!(c.write_word(Address::new(0x20), 1), None);
-        assert_eq!(c.stats().read_misses, 1);
-        assert_eq!(c.stats().write_misses, 1);
         assert_eq!(c.resident_blocks(), 0);
     }
 
@@ -781,7 +743,6 @@ mod tests {
         assert_eq!(c.read_word(a), Some(7));
         assert_eq!(c.read_word(a.offset(8)), Some(8));
         assert_eq!(c.read_word(a.offset(24)), Some(10));
-        assert_eq!(c.stats().read_hits, 3);
     }
 
     #[test]
@@ -795,7 +756,6 @@ mod tests {
         let e = c.write_word(a, 8).unwrap();
         assert!(!e.was_silent);
         assert_eq!(e.old_value, 7);
-        assert_eq!(c.stats().silent_word_writes, 1);
     }
 
     #[test]
@@ -824,8 +784,6 @@ mod tests {
         let ev = out.evicted.expect("set was full");
         assert_eq!(ev.base, b, "LRU victim is b");
         assert!(!ev.dirty);
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.stats().dirty_evictions, 0);
         // Now evict the dirty block a.
         let e = Address::new(0x180);
         let out = c.fill(e, &[4, 0, 0, 0]);
@@ -833,7 +791,6 @@ mod tests {
         assert_eq!(ev.base, a);
         assert!(ev.dirty);
         assert_eq!(ev.data, vec![5, 0, 0, 0]);
-        assert_eq!(c.stats().dirty_evictions, 1);
     }
 
     #[test]
@@ -870,12 +827,15 @@ mod tests {
     #[test]
     fn probe_has_no_side_effects() {
         let mut c = small_cache();
-        let a = Address::new(0x40);
+        let a = Address::new(0x000); // set 0
+        let b = Address::new(0x080); // set 0
         c.fill(a, &[0; 4]);
-        let before = *c.stats();
+        c.fill(b, &[0; 4]);
+        // Probing the LRU block must not make it recently used.
         assert!(c.probe(a).is_some());
         assert!(c.probe(Address::new(0x60)).is_none());
-        assert_eq!(*c.stats(), before);
+        let out = c.fill(Address::new(0x100), &[0; 4]);
+        assert_eq!(out.evicted.expect("set was full").base, a);
     }
 
     #[test]
@@ -919,15 +879,6 @@ mod tests {
         assert!(ev.dirty);
         mem.write_block_from(ev.base, &ev.data);
         assert_eq!(mem.read_word(Address::new(0x40)), 78);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_counters() {
-        let mut c = small_cache();
-        c.read_word(Address::new(0));
-        assert_ne!(c.stats().accesses(), 0);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
     }
 
     #[test]

@@ -5,13 +5,15 @@ use std::ops::{Add, AddAssign};
 
 use serde::{Deserialize, Serialize};
 
-/// Hit/miss counters maintained by [`DataCache`](crate::DataCache).
+/// Request-level hit/miss counters, kept per scheme by the ledgers in
+/// `cache8t-core`.
 ///
 /// These are the *functional* cache statistics (did the block reside in the
 /// cache?). The paper's headline metric — SRAM-array access frequency under
-/// RMW / WG / WG+RB — is counted separately by the controllers in
-/// `cache8t-core`, because one functional access can cost zero, one, or two
-/// array operations depending on the controller.
+/// RMW / WG / WG+RB — is counted separately, because one functional access
+/// can cost zero, one, or two array operations depending on the controller.
+/// An eviction is not a request, so the ledgers leave `evictions` and
+/// `dirty_evictions` at 0 (the `cache.evictions` metrics count them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Read lookups that hit.

@@ -29,7 +29,7 @@ use cache8t::exec::{ChunkSource, PrefetchedChunks};
 use cache8t::obs::sampler::{self, Sampler, SamplerConfig, SeriesSample};
 use cache8t::obs::{perfdiff, timeline};
 use cache8t::serve::{Client, ClientError, PlanSpec, ServeConfig, Server};
-use cache8t::sim::{kernels, CacheGeometry, ReplacementKind};
+use cache8t::sim::{kernels, CacheGeometry, CacheStats, ReplacementKind};
 use cache8t::trace::analyze::StreamStats;
 use cache8t::trace::{
     profiles, ChunkedGenerator, DecodedBatch, ProfiledGenerator, Trace, TraceChunk,
@@ -490,7 +490,15 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         o.cache.block_bytes()
     );
     println!("  {}", controller.traffic());
-    println!("  requests: {}", controller.stats());
+    // Request statistics count no evictions; the eviction metrics do.
+    let registry = controller.ledger(0).obs().registry();
+    let count = |name| registry.counter_by_name(name).unwrap_or(0);
+    let requests = CacheStats {
+        evictions: count("cache.evictions"),
+        dirty_evictions: count("cache.dirty_evictions"),
+        ..*controller.stats()
+    };
+    println!("  requests: {requests}");
     write_observability(o, controller.as_ref())?;
     if let Some(path) = &o.timeline_out {
         write_timeline(path)?;

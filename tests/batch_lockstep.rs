@@ -85,6 +85,7 @@ fn replay_per_op(
         controller.access(op);
         if let Some(sampler) = sampler.as_deref_mut() {
             if sampler.note_ops(1) {
+                controller.settle();
                 let obs = controller.obs().expect("every scheme is instrumented");
                 let occupancy = controller.occupancy(0).unwrap_or_default();
                 sampler.sample(obs.registry(), occupancy).unwrap();

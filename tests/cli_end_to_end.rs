@@ -119,6 +119,50 @@ fn simulate_accepts_custom_geometry() {
 }
 
 #[test]
+fn simulate_reports_the_ledgers_evictions() {
+    let metrics_path = temp_path("evictions-metrics.json");
+    let metrics_arg = metrics_path.to_string_lossy().to_string();
+    let out = cli()
+        .args([
+            "simulate",
+            "--scheme",
+            "coalesce:4",
+            "--profile",
+            "mcf",
+            "--ops",
+            "20000",
+            "--metrics-out",
+            &metrics_arg,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let metrics = std::fs::read_to_string(&metrics_path).expect("metrics written");
+    let counter = |name: &str| -> u64 {
+        let key = format!("\"{name}\": ");
+        metrics
+            .split(&key)
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from {metrics}"))
+    };
+    let (evictions, dirty) = (counter("cache.evictions"), counter("cache.dirty_evictions"));
+    assert!(evictions > 0 && dirty > 0, "mcf must evict: {metrics}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let expected = format!("evictions {evictions} ({dirty} dirty)");
+    assert!(
+        stdout.contains(&expected),
+        "want {expected:?} in:\n{stdout}"
+    );
+    std::fs::remove_file(&metrics_path).ok();
+}
+
+#[test]
 fn bad_inputs_fail_cleanly() {
     for args in [
         vec!["simulate", "--scheme", "bogus", "--profile", "gcc"],
